@@ -8,11 +8,6 @@
 
 namespace argus::net {
 
-namespace {
-/// Retired frame allocations kept for reuse; beyond this they free.
-constexpr std::size_t kFramePoolMax = 256;
-}  // namespace
-
 Network::Network(Simulator& sim, RadioParams radio, std::uint64_t seed)
     : sim_(sim), radio_(radio), rng_(crypto::make_rng(seed, "network")) {
   nodes_.resize(1);  // slot 0: NodeId 0 is never issued
@@ -110,24 +105,6 @@ SimTime Network::reserve_channel(unsigned ring, SimTime earliest,
   return start;
 }
 
-Network::Frame Network::acquire_frame(Bytes payload) {
-  if (!frame_pool_.empty()) {
-    std::shared_ptr<Bytes> reused = std::move(frame_pool_.back());
-    frame_pool_.pop_back();
-    *reused = std::move(payload);
-    return reused;
-  }
-  return std::make_shared<Bytes>(std::move(payload));
-}
-
-void Network::retire_frame(Frame frame) {
-  // use_count == 1 means ours is the last reference: no other scheduled
-  // copy can observe the buffer again, so its allocation may be reused.
-  if (frame.use_count() == 1 && frame_pool_.size() < kFramePoolMax) {
-    frame_pool_.push_back(std::const_pointer_cast<Bytes>(std::move(frame)));
-  }
-}
-
 void Network::deliver(NodeId from, NodeId to, Frame frame, SimTime arrival) {
   sim_.schedule_at(arrival, [this, from, to, frame = std::move(frame)]() mutable {
     if (!has_node(to)) {
@@ -164,7 +141,6 @@ void Network::process(NodeId from, NodeId to, Frame frame) {
   }
   ++stats_.deliveries;
   s.node->on_message(from, *frame);
-  retire_frame(std::move(frame));
 }
 
 void Network::park(NodeId from, NodeId to, Frame frame) {
@@ -228,7 +204,6 @@ void Network::wake(NodeId from, NodeId to, std::uint64_t park_id,
   }
   ++stats_.deliveries;
   s.node->on_message(from, *frame);
-  retire_frame(std::move(frame));
 }
 
 bool Network::make_room(NodeId to, const Bytes& arriving) {
@@ -365,7 +340,7 @@ SendOutcome Network::unicast(NodeId from, NodeId to, Bytes payload) {
   }
   out.delivered = true;
   out.duplicates = extra;
-  const Frame frame = acquire_frame(std::move(payload));
+  const Frame frame = std::make_shared<const Bytes>(std::move(payload));
   for (unsigned c = 0; c < extra; ++c) {
     ++stats_.duplicates;
     if (metrics_) metrics_->counter("net.msg.duplicated").inc();
@@ -408,7 +383,7 @@ SendOutcome Network::broadcast(NodeId from, Bytes payload) {
   // order within a ring — identical to the old all-nodes id scan for
   // ring-monotone fleets (see header).
   SendOutcome out;
-  const Frame frame = acquire_frame(std::move(payload));
+  const Frame frame = std::make_shared<const Bytes>(std::move(payload));
   for (unsigned ring = 0; ring < rings_.size(); ++ring) {
     for (const NodeId id : rings_[ring]) {
       if (id == from) continue;

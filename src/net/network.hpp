@@ -24,7 +24,7 @@
 //     attach/re-ring, instead of an all-nodes scan per broadcast;
 //   * one payload buffer is shared (refcounted frame) by every scheduled
 //     copy of a send — broadcast to 10k receivers allocates one frame,
-//     not 10k — and retired frame allocations are pooled for reuse.
+//     not 10k.
 // Delivery iteration is ring-major, attach order within a ring. Fleets
 // that attach nodes in ring-monotone order (every builtin grid and
 // scenario factory does) therefore keep the exact pre-index delivery and
@@ -278,11 +278,6 @@ class Network {
   void fault_drop(NodeId from, NodeId to, std::size_t bytes);
   /// Account one copy addressed to an unknown/departed node.
   void no_dest_drop(NodeId from, NodeId to, std::size_t bytes);
-  /// Wrap a payload as a shared in-flight frame, reusing a pooled
-  /// allocation when one is free.
-  Frame acquire_frame(Bytes payload);
-  /// Return a frame's allocation to the pool if this was the last copy.
-  void retire_frame(Frame frame);
   /// Drop `id` from its ring's member list and refresh the max-hops
   /// watermark (used by remove_node / set_node_hops).
   void unindex_ring(NodeId id, unsigned hops);
@@ -306,8 +301,6 @@ class Network {
   NodeId next_id_ = 1;
   std::uint64_t next_park_ = 1;
   std::vector<SimTime> ring_free_;  // per-hop-ring contention domains
-  /// Retired frame allocations, reused by the next send (bounded).
-  std::vector<std::shared_ptr<Bytes>> frame_pool_;
   Stats stats_;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -6,23 +6,26 @@
 // timelines and for the indistinguishability analyses, where timing IS the
 // observable.
 //
-// The event store is a calendar queue (net/event_queue.hpp): amortized
-// O(1) push/pop against the binary heap's O(log n), which matters once a
-// campus-scale broadcast parks tens of thousands of deliveries in flight.
-// Extraction order is identical to the heap by construction.
+// The event store is one binary min-heap on exact (time, seq). seq is
+// unique, so the extraction order is a total order that no heap layout
+// can change.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <unordered_set>
-
-#include "net/event_queue.hpp"
+#include <vector>
 
 namespace argus::obs {
 class Tracer;
 }
 
 namespace argus::net {
+
+using SimTime = double;  // virtual milliseconds
+
+/// Handle for a cancellable timer; 0 is never a valid id.
+using TimerId = std::uint64_t;
 
 class Simulator {
  public:
@@ -60,7 +63,7 @@ class Simulator {
 
   /// Live (uncancelled) events still queued. Exact: cancelled timers
   /// awaiting lazy discard are not counted.
-  [[nodiscard]] std::size_t pending() const { return queue_.size() - dead_; }
+  [[nodiscard]] std::size_t pending() const { return events_.size() - dead_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   /// Attach an event tracer (null detaches). With no tracer the only
@@ -69,16 +72,31 @@ class Simulator {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
-  using Event = CalendarQueue::Event;
+  struct Event {
+    SimTime time = 0;
+    std::uint64_t seq = 0;
+    std::function<void()> fn;
+    TimerId timer = 0;  // 0: plain event; else cancellable
+  };
 
+  /// Heap comparator: "a fires later than b", on exact (time, seq).
+  static bool later(const Event& a, const Event& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+
+  void push(SimTime when, std::function<void()> fn, TimerId timer);
+  /// Pop and fire events up to `deadline`; with `advance`, then move the
+  /// clock forward to the deadline (run_until).
+  SimTime dispatch(SimTime deadline, bool advance);
   /// Discard cancelled timers sitting at the head of the queue, so the
-  /// next peek() is live. Skipped slots do not advance the clock or count
+  /// heap top is live. Skipped slots do not advance the clock or count
   /// as executed.
   void prune();
   /// One-pass removal of all tombstones once they exceed the live count.
   void maybe_compact();
 
-  CalendarQueue queue_;
+  std::vector<Event> events_;  // binary min-heap under later()
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

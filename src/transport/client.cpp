@@ -12,7 +12,9 @@ SubjectClient::SubjectClient(core::SubjectEngineConfig cfg,
 }
 
 void SubjectClient::begin_round(std::size_t group_idx, double now_ms) {
-  engine_.set_group_key_index(group_idx);
+  // Round r uses group key r mod count, as the simulator's round driver
+  // does, so any caller-supplied round count is valid.
+  engine_.set_group_key_index(group_idx % engine_.group_key_count());
   que1_wire_ = engine_.start_round();
   (void)engine_.take_consumed_ms();
   discovered_seen_ = engine_.discovered().size();

@@ -63,6 +63,8 @@ class SubjectClient {
   SubjectClient(core::SubjectEngineConfig cfg, ClientParams params,
                 Transport& transport);
 
+  /// Start a round with group key `group_idx` modulo the subject's key
+  /// count (round r of a multi-round run passes r).
   void begin_round(std::size_t group_idx, double now_ms);
   /// Pump the transport and fire retry/deadline timers.
   void step(double now_ms);

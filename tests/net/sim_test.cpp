@@ -166,10 +166,10 @@ TEST(SimulatorTest, CancelAfterCompactionIsIdempotent) {
   EXPECT_EQ(sim.executed(), 1u);
 }
 
-TEST(SimulatorTest, CalendarQueueStressKeepsExactOrder) {
-  // Storm of schedules at repeating + spread-out times (forces bucket
-  // growth, same-day collisions, and the sparse-tail fallback): events
-  // must still fire in exact (time, seq) order.
+TEST(SimulatorTest, HeapStressKeepsExactOrder) {
+  // Storm of schedules at repeating + spread-out times (clustered small
+  // times, a heavy same-time pileup and far-future spikes): events must
+  // fire in exact (time, seq) order.
   Simulator sim;
   std::vector<std::pair<double, int>> fired;
   int tag = 0;

@@ -1,9 +1,10 @@
 #!/bin/sh
-# Two-process loopback smoke: argusd serves a 100-object fleet, argusctl
-# runs one discovery round against it under a 10% send-side loss shim,
-# then orders a shutdown and leaves WITHOUT closing its connection. The
-# test passes only if
-#   * the round resolves every object (delivery_ratio == 1.0),
+# Loopback smoke: argusd serves a 100-object fleet. Under a
+# 10% send-side loss shim, one argusctl runs three discovery rounds
+# against it, then a second argusctl runs one round, orders a shutdown
+# and leaves WITHOUT closing its connection. The test passes only if
+#   * every round of both clients resolves every object
+#     (delivery_ratio == 1.0),
 #   * the engine-level result set matches an in-process simulator run
 #     (--compare-sim), and
 #   * the daemon's keep-alive reaper retires the abandoned connection so
@@ -46,6 +47,18 @@ if [ -z "$PORT" ]; then
   exit 1
 fi
 
+# A first client runs three rounds (round r uses group key r mod the
+# subject's key count) and leaves the daemon up.
+if ! "$ARGUSCTL" --connect "127.0.0.1:$PORT" --objects "$OBJECTS" \
+    --seed "$SEED" --loss "$LOSS" --rounds 3 --compare-sim \
+    > "$WORK/ctl1.out" 2> "$WORK/ctl1.err"; then
+  echo "FAIL: multi-round argusctl reported an incomplete or mismatched run" >&2
+  cat "$WORK/ctl1.out" "$WORK/ctl1.err" >&2
+  exit 1
+fi
+
+# A second process with the same scenario seed must still be answered:
+# its R_S nonces are its own, so the objects' replay window lets it in.
 if ! "$ARGUSCTL" --connect "127.0.0.1:$PORT" --objects "$OBJECTS" \
     --seed "$SEED" --loss "$LOSS" --compare-sim --shutdown \
     > "$WORK/ctl.out" 2> "$WORK/ctl.err"; then
@@ -67,7 +80,8 @@ fi
 
 CTL_LINE="$(cat "$WORK/ctl.out")"
 DAEMON_LINE="$(tail -n 1 "$WORK/daemon.out")"
-echo "ctl:    $CTL_LINE"
+echo "ctl 1:  $(cat "$WORK/ctl1.out")"
+echo "ctl 2:  $CTL_LINE"
 echo "daemon: $DAEMON_LINE"
 
 case "$CTL_LINE" in

@@ -297,5 +297,15 @@ TEST(Daemon, SecondRoundDedupesDiscovered) {
   EXPECT_EQ(d.client.engine().discovered().size(), after_first);
 }
 
+TEST(Daemon, RoundIndexWrapsOverGroupKeys) {
+  // argusctl passes round r as the group-key index; a one-key subject
+  // reduces it modulo its key count instead of throwing.
+  PipeDeployment d(4, /*loss=*/0.0);
+  ASSERT_EQ(d.client.engine().group_key_count(), 1u);
+  const ClientReport report = d.run_round(5);
+  EXPECT_TRUE(report.complete())
+      << report.resolved << "/" << report.expected;
+}
+
 }  // namespace
 }  // namespace argus::transport

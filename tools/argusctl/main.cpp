@@ -9,6 +9,7 @@
 // engine-level result set matches an in-process simulator run of the
 // identical scenario.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
@@ -132,7 +133,15 @@ int main(int argc, char** argv) {
   scfg.creds = scenario.subject;
   scfg.admin_pub = scenario.admin_pub;
   scfg.strength = scenario.strength;
-  scfg.seed = scenario.seed;
+  // The subject DRBG draws the R_S nonce. Seeded from the scenario alone,
+  // every argusctl run would replay the same nonce and the objects'
+  // replay window would silence all runs after the first; the pid keeps
+  // concurrent processes apart and the clock keeps a reused pid apart.
+  // Result sets do not depend on the nonce, so --compare-sim still holds.
+  scfg.seed = scenario.seed ^
+              (static_cast<std::uint64_t>(getpid()) * 0x9e3779b97f4a7c15ull) ^
+              static_cast<std::uint64_t>(
+                  std::chrono::system_clock::now().time_since_epoch().count());
   scfg.seek_level3 = scenario.seek_level3;
   scfg.resumption.enabled = opt.resumption;
   scfg.metrics = &metrics;
