@@ -49,6 +49,18 @@ struct Shared {
       metrics->counter(std::string("net.msg.bytes.") + type).inc(size);
     }
   }
+
+  /// Trace (with `b` as the event's b), send and tally one message.
+  void unicast(net::Network& net, net::NodeId self, net::NodeId to,
+               Bytes wire, std::uint64_t b = 0) {
+    const char* type = wire_type_name(wire);
+    const std::size_t size = wire.size();
+    if (tracer) {
+      tracer->instant(net.now(), self, std::string("tx.") + type, "net", size,
+                      b);
+    }
+    tally(type, size, net.unicast(self, to, std::move(wire)).delivered);
+  }
 };
 
 class ObjectNode final : public net::SimNode {
@@ -113,14 +125,8 @@ class ObjectNode final : public net::SimNode {
             engine_->inner().stats().fellows_confirmed > fellows_before ? 3
                                                                         : 2;
       }
-      const char* type = wire_type_name(*reply);
-      const std::size_t size = reply->size();
-      if (tr) {
-        tr->instant(net_->now(), node_id(), std::string("tx.") + type, "net",
-                    size, reply_level);
-      }
-      const auto sent = net_->unicast(node_id(), from, std::move(*reply));
-      shared_->tally(type, size, sent.delivered);
+      shared_->unicast(*net_, node_id(), from, std::move(*reply),
+                       reply_level);
     }
     // The span closes when the node's modeled compute drains; its `b`
     // carries the reply level the auditor partitions faces by.
@@ -137,62 +143,31 @@ class ObjectNode final : public net::SimNode {
   Shared* shared_;
 };
 
-class SubjectNode final : public net::SimNode {
+/// The simulator's subject: SubjectRound's policy over the radio, plus
+/// the tracer, modeled compute and discovery timeline.
+class SubjectNode final : public net::SimNode, SubjectRound::Io {
  public:
   SubjectNode(SubjectEngineConfig cfg, Shared* shared)
       : engine_(std::move(cfg)), shared_(shared) {}
 
-  /// Per-object exchange the retry driver tracks. Phases advance
-  /// QUE1-sent -> (RES1 seen, QUE2 sent) -> done; a round deadline or an
-  /// exhausted retry budget parks the exchange at kTimedOut.
-  struct Exchange {
-    enum Phase { kIdle, kAwaitRes1, kAwaitRes2, kDone, kTimedOut };
-    std::string object_id;
-    Phase phase = kIdle;
-    unsigned que2_attempts = 0;    // this round
-    unsigned retransmits = 0;      // cumulative, for the report
-    unsigned rejects = 0;          // peer bytes the engine rejected
-    Bytes que2_wire;               // cached wire for timer-driven resends
-    net::TimerId timer = 0;
-    bool timer_live = false;
-  };
-
-  void configure_retries(const RetryPolicy& policy, bool enabled) {
-    policy_ = policy;
-    retries_ = enabled;
-  }
-
-  void track_object(net::NodeId node, std::string object_id) {
-    Exchange ex;
-    ex.object_id = std::move(object_id);
-    exchanges_[node] = std::move(ex);
+  /// Exchange i of the round is the object at node `objects[i]`.
+  void configure(const RetryPolicy& policy, bool retries,
+                 std::vector<net::NodeId> objects) {
+    nodes_ = std::move(objects);
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      exchange_of_[nodes_[i]] = i;
+    }
+    round_.emplace(policy, retries, nodes_.size(),
+                   static_cast<SubjectRound::Io&>(*this));
+    timers_.resize(nodes_.size() + 1);
   }
 
   void begin_round(std::size_t group_idx) {
-    engine_.set_group_key_index(group_idx);
     group_idx_ = group_idx;
-    que1_wire_ = engine_.start_round();
-    (void)engine_.take_consumed_ms();
-    que1_attempts_ = 0;
-    for (auto& [node, ex] : exchanges_) {
-      ex.phase = Exchange::kAwaitRes1;
-      ex.que2_attempts = 0;
-      ex.que2_wire.clear();
-    }
-    send_que1();
+    round_->begin(engine_, group_idx);
   }
 
-  /// Close out the round: cancel every live timer (so stale retries never
-  /// leak into the next round) and park unresolved exchanges.
-  void finish_round() {
-    cancel_que1_timer();
-    for (auto& [node, ex] : exchanges_) {
-      cancel_timer(ex);
-      if (ex.phase == Exchange::kAwaitRes1 || ex.phase == Exchange::kAwaitRes2) {
-        ex.phase = Exchange::kTimedOut;
-      }
-    }
-  }
+  void finish_round() { round_->finish(); }
 
   void on_message(net::NodeId from, const Bytes& payload) override {
     obs::Tracer* const tr = shared_->tracer;
@@ -206,15 +181,10 @@ class SubjectNode final : public net::SimNode {
     const double ms = engine_.take_consumed_ms();
     net_->consume_compute(node_id(), ms);
     shared_->report->subject_compute_ms += ms;
-    if (is_reject(reply.status)) {
-      if (const auto it = exchanges_.find(from); it != exchanges_.end()) {
-        ++it->second.rejects;
-      }
-      if (tr) {
-        tr->instant(net_->now(), node_id(),
-                    std::string("reject.") + status_name(reply.status),
-                    "fault", payload.size(), from);
-      }
+    if (tr && is_reject(reply.status)) {
+      tr->instant(net_->now(), node_id(),
+                  std::string("reject.") + status_name(reply.status), "fault",
+                  payload.size(), from);
     }
     if (engine_.discovered().size() > before) {
       const auto& svc = engine_.discovered().back();
@@ -225,155 +195,51 @@ class SubjectNode final : public net::SimNode {
         tr->instant(net_->now(), node_id(), "discovered", "phase",
                     static_cast<std::uint64_t>(svc.level), 0, svc.object_id);
       }
-      resolve(from);
     }
-    if (reply) {
-      const char* type = wire_type_name(*reply);
-      const std::size_t size = reply->size();
-      if (tr) {
-        tr->instant(net_->now(), node_id(), std::string("tx.") + type, "net",
-                    size);
-      }
-      if (const auto it = exchanges_.find(from);
-          it != exchanges_.end() && it->second.phase == Exchange::kAwaitRes1 &&
-          is_msg(*reply, MsgType::kQue2)) {
-        it->second.phase = Exchange::kAwaitRes2;
-        it->second.que2_wire = *reply;
-        arm_que2_timer(from, it->second);
-      }
-      const auto sent = net_->unicast(node_id(), from, std::move(*reply));
-      shared_->tally(type, size, sent.delivered);
+    if (const auto it = exchange_of_.find(from); it != exchange_of_.end()) {
+      round_->on_handled(it->second, reply);
     }
+    if (reply) shared_->unicast(*net_, node_id(), from, std::move(*reply));
     if (tr) tr->end(net_->node_free_at(node_id()), node_id());
   }
 
   SubjectEngine& engine() { return engine_; }
   [[nodiscard]] const SubjectEngine& engine() const { return engine_; }
-  [[nodiscard]] const std::map<net::NodeId, Exchange>& exchanges() const {
-    return exchanges_;
-  }
+  [[nodiscard]] const SubjectRound& round() const { return *round_; }
 
  private:
-  double backoff_delay(double base, unsigned attempt) const {
-    double d = base;
-    for (unsigned i = 0; i < attempt; ++i) d *= policy_.backoff;
-    return d;
-  }
-
-  [[nodiscard]] bool awaiting_res1() const {
-    for (const auto& [node, ex] : exchanges_) {
-      if (ex.phase == Exchange::kAwaitRes1) return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] bool all_resolved() const {
-    for (const auto& [node, ex] : exchanges_) {
-      if (ex.phase == Exchange::kAwaitRes1 || ex.phase == Exchange::kAwaitRes2) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  void send_que1() {
+  void send_que1(const Bytes& wire) override {
     if (obs::Tracer* const tr = shared_->tracer) {
       tr->instant(net_->now(), node_id(),
-                  std::string("tx.") + wire_type_name(que1_wire_), "net",
-                  que1_wire_.size(), group_idx_);
+                  std::string("tx.") + wire_type_name(wire), "net",
+                  wire.size(), group_idx_);
     }
-    const auto sent = net_->broadcast(node_id(), que1_wire_);
+    const auto sent = net_->broadcast(node_id(), wire);
     // A broadcast with no receivers loses nothing; count it delivered.
-    shared_->tally(wire_type_name(que1_wire_), que1_wire_.size(),
+    shared_->tally(wire_type_name(wire), wire.size(),
                    sent.delivered || sent.drops == 0);
-    if (retries_ && que1_attempts_ < policy_.max_retries && awaiting_res1()) {
-      que1_timer_ = net_->sim().schedule_timer(
-          backoff_delay(policy_.que1_timeout_ms, que1_attempts_),
-          [this] { on_que1_timeout(); });
-      que1_timer_live_ = true;
-    }
   }
 
-  void on_que1_timeout() {
-    que1_timer_live_ = false;
-    if (!awaiting_res1()) return;
-    ++que1_attempts_;
-    ++shared_->report->que1_retransmits;
-    send_que1();  // same bytes: receivers treat the duplicate idempotently
+  void resend_que2(std::size_t exchange, const Bytes& wire) override {
+    shared_->unicast(*net_, node_id(), nodes_[exchange], wire);
   }
 
-  void arm_que2_timer(net::NodeId node, Exchange& ex) {
-    if (!retries_) return;
-    ex.timer = net_->sim().schedule_timer(
-        backoff_delay(policy_.que2_timeout_ms, ex.que2_attempts),
-        [this, node] { on_que2_timeout(node); });
-    ex.timer_live = true;
+  void arm_timer(std::size_t slot, double delay_ms) override {
+    timers_[slot] = net_->sim().schedule_timer(
+        delay_ms, [this, slot] { round_->on_timer(slot); });
   }
 
-  void on_que2_timeout(net::NodeId node) {
-    auto& ex = exchanges_.at(node);
-    ex.timer_live = false;
-    if (ex.phase != Exchange::kAwaitRes2) return;
-    if (ex.que2_attempts >= policy_.max_retries) {
-      ex.phase = Exchange::kTimedOut;
-      maybe_quiesce();
-      return;
-    }
-    ++ex.que2_attempts;
-    ++ex.retransmits;
-    ++shared_->report->que2_retransmits;
-    const char* type = wire_type_name(ex.que2_wire);
-    const std::size_t size = ex.que2_wire.size();
-    if (obs::Tracer* const tr = shared_->tracer) {
-      tr->instant(net_->now(), node_id(), std::string("tx.") + type, "net",
-                  size);
-    }
-    const auto sent = net_->unicast(node_id(), node, ex.que2_wire);
-    shared_->tally(type, size, sent.delivered);
-    arm_que2_timer(node, ex);
-  }
-
-  /// The exchange with `node` finished (a discovery landed); stop its
-  /// timer and, if nothing is pending anymore, cancel the QUE1 watchdog
-  /// so the round can end at the true completion time.
-  void resolve(net::NodeId node) {
-    const auto it = exchanges_.find(node);
-    if (it == exchanges_.end()) return;
-    it->second.phase = Exchange::kDone;
-    cancel_timer(it->second);
-    maybe_quiesce();
-  }
-
-  void maybe_quiesce() {
-    if (!all_resolved()) return;
-    cancel_que1_timer();
-    for (auto& [node, ex] : exchanges_) cancel_timer(ex);
-  }
-
-  void cancel_timer(Exchange& ex) {
-    if (ex.timer_live) {
-      net_->sim().cancel_timer(ex.timer);
-      ex.timer_live = false;
-    }
-  }
-
-  void cancel_que1_timer() {
-    if (que1_timer_live_) {
-      net_->sim().cancel_timer(que1_timer_);
-      que1_timer_live_ = false;
-    }
+  void cancel_timer(std::size_t slot) override {
+    net_->sim().cancel_timer(timers_[slot]);  // fired or unarmed: no-op
   }
 
   SubjectEngine engine_;
   Shared* shared_;
-  RetryPolicy policy_{};
-  bool retries_ = false;
+  std::optional<SubjectRound> round_;
   std::size_t group_idx_ = 0;
-  Bytes que1_wire_;
-  unsigned que1_attempts_ = 0;
-  net::TimerId que1_timer_ = 0;
-  bool que1_timer_live_ = false;
-  std::map<net::NodeId, Exchange> exchanges_;
+  std::vector<net::NodeId> nodes_;  // exchange index -> object node
+  std::map<net::NodeId, std::size_t> exchange_of_;
+  std::vector<net::TimerId> timers_;  // per SubjectRound timer slot
 };
 
 /// The flooding adversary: a network node that sprays the object fleet
@@ -392,18 +258,17 @@ class FlooderNode final : public net::SimNode {
 
   void start() {
     if (!spec_.armed() || targets_.empty()) return;
-    start_ms_ = spec_.start_ms;
-    net_->sim().schedule_at(start_ms_, [this] { tick(); });
+    net_->sim().schedule_at(spec_.start_ms, [this] { tick(); });
   }
 
   void on_message(net::NodeId, const Bytes&) override {}  // replies ignored
 
-  [[nodiscard]] std::uint64_t sent() const { return sent_; }
-
  private:
   void tick() {
     const double now = net_->now();
-    if (spec_.duration_ms >= 0 && now >= start_ms_ + spec_.duration_ms) return;
+    if (spec_.duration_ms >= 0 && now >= spec_.start_ms + spec_.duration_ms) {
+      return;
+    }
     Bytes payload = make_payload();
     const net::NodeId target = targets_[next_target_++ % targets_.size()];
     const std::size_t size = payload.size();
@@ -412,7 +277,6 @@ class FlooderNode final : public net::SimNode {
     }
     const auto out = net_->unicast(node_id(), target, std::move(payload));
     shared_->tally("FLOOD", size, out.delivered);
-    ++sent_;
     net_->sim().schedule(1000.0 / spec_.rate_per_s, [this] { tick(); });
   }
 
@@ -436,9 +300,7 @@ class FlooderNode final : public net::SimNode {
   std::vector<net::NodeId> targets_;
   Shared* shared_;
   crypto::HmacDrbg rng_;
-  double start_ms_ = 0;
   std::size_t next_target_ = 0;
-  std::uint64_t sent_ = 0;
 };
 
 }  // namespace
@@ -520,7 +382,6 @@ struct DiscoveryTestbed::Impl {
       const net::NodeId id = net.add_node(
           objects.back().get(), std::max(1u, scenario.objects[i].hops));
       object_ids.push_back(id);
-      subject->track_object(id, scenario.objects[i].creds.id);
       if (scenario.tracer) {
         scenario.tracer->instant(
             sim.now(), id, "node", "meta",
@@ -556,7 +417,7 @@ struct DiscoveryTestbed::Impl {
     retries = scenario.retry.mode == RetryMode::kOn ||
               (scenario.retry.mode == RetryMode::kAuto &&
                (lossy || faulted || flooded));
-    subject->configure_retries(scenario.retry, retries);
+    subject->configure(scenario.retry, retries, object_ids);
 
     // Chaos layer: translate the plan's timeline into node/engine faults.
     // An unarmed plan schedules nothing (arm() below is skipped), so this
@@ -564,23 +425,15 @@ struct DiscoveryTestbed::Impl {
     fault::ChaosHooks hooks;
     hooks.crash = [this](std::size_t i) {
       net.set_node_up(object_ids[i], false);
-      shared.metrics->counter("fault.crash").inc();
-      if (scenario.tracer) {
-        scenario.tracer->instant(sim.now(), object_ids[i], "fault.crash",
-                                 "fault");
-      }
+      note(i, "fault.crash", "fault.crash");
       if (scenario.faults.reboot_policy ==
           fault::RebootPolicy::kFromSnapshot) {
         // Capture the sealed engine state the reboot will restore from.
         // Only under the snapshot policy: blank-reboot runs take neither
         // the counter nor the trace event, keeping their bytes intact.
         crash_snapshots[i] = objects[i]->engine().snapshot();
-        shared.metrics->counter("persist.snapshot").inc();
-        if (scenario.tracer) {
-          scenario.tracer->instant(sim.now(), object_ids[i],
-                                   "persist.snapshot", "persist",
-                                   crash_snapshots[i].size());
-        }
+        note(i, "persist.snapshot", "persist.snapshot",
+             crash_snapshots[i].size());
       }
     };
     hooks.reboot = [this](std::size_t i) {
@@ -595,68 +448,54 @@ struct DiscoveryTestbed::Impl {
                 ? persist::RestoreError::kIoError
                 : objects[i]->engine().restore(crash_snapshots[i]);
         if (err == persist::RestoreError::kOk) {
-          shared.metrics->counter("persist.restore").inc();
-          if (scenario.tracer) {
-            scenario.tracer->instant(sim.now(), object_ids[i],
-                                     "persist.restore", "persist",
-                                     crash_snapshots[i].size());
-          }
+          note(i, "persist.restore", "persist.restore",
+               crash_snapshots[i].size());
         } else {
-          shared.metrics->counter("persist.restore_failed").inc();
-          if (scenario.tracer) {
-            scenario.tracer->instant(
-                sim.now(), object_ids[i], "persist.restore_failed",
-                "persist", static_cast<std::uint64_t>(err), 0,
-                persist::restore_error_name(err));
-          }
+          note(i, "persist.restore_failed", "persist.restore_failed",
+               static_cast<std::uint64_t>(err),
+               persist::restore_error_name(err));
         }
         crash_snapshots[i].clear();
       }
       net.set_node_up(object_ids[i], true);
-      shared.metrics->counter("fault.reboot").inc();
-      if (scenario.tracer) {
-        scenario.tracer->instant(sim.now(), object_ids[i], "fault.reboot",
-                                 "fault");
-      }
+      note(i, "fault.reboot", "fault.reboot");
     };
     hooks.straggle_begin = [this](std::size_t i, double factor) {
       net.set_compute_factor(object_ids[i], factor);
-      shared.metrics->counter("fault.straggle").inc();
-      if (scenario.tracer) {
-        scenario.tracer->instant(sim.now(), object_ids[i],
-                                 "fault.straggle.begin", "fault",
-                                 static_cast<std::uint64_t>(factor));
-      }
+      note(i, "fault.straggle", "fault.straggle.begin",
+           static_cast<std::uint64_t>(factor));
     };
     hooks.straggle_end = [this](std::size_t i) {
       net.set_compute_factor(object_ids[i], 1.0);
-      if (scenario.tracer) {
-        scenario.tracer->instant(sim.now(), object_ids[i],
-                                 "fault.straggle.end", "fault");
-      }
+      note(i, nullptr, "fault.straggle.end");
     };
     hooks.zombie = [this](std::size_t i) {
       objects[i]->make_zombie();
-      shared.metrics->counter("fault.zombie").inc();
-      if (scenario.tracer) {
-        scenario.tracer->instant(sim.now(), object_ids[i], "fault.zombie",
-                                 "fault");
-      }
+      note(i, "fault.zombie", "fault.zombie");
     };
     hooks.byzantine = [this](std::size_t i, fault::ByzantineMode mode,
                              std::uint64_t seed) {
       objects[i]->arm_byzantine(mode, seed);
-      shared.metrics->counter("fault.byzantine").inc();
-      if (scenario.tracer) {
-        scenario.tracer->instant(sim.now(), object_ids[i], "fault.byzantine",
-                                 "fault", static_cast<std::uint64_t>(mode));
-      }
+      note(i, "fault.byzantine", "fault.byzantine",
+           static_cast<std::uint64_t>(mode));
     };
     chaos.emplace(sim, std::move(hooks));
     if (faulted) chaos->arm(scenario.faults, scenario.objects.size());
 
     rounds = std::min<std::size_t>(std::max<std::size_t>(1, scenario.rounds),
                                    subject->engine().group_key_count());
+  }
+
+  /// A chaos or persistence event on object i: bump `counter` (if any)
+  /// and trace `event`, whose category is its first dotted component.
+  void note(std::size_t i, const char* counter, std::string event,
+            std::uint64_t a = 0, std::string arg = {}) {
+    if (counter != nullptr) shared.metrics->counter(counter).inc();
+    if (scenario.tracer) {
+      std::string cat = event.substr(0, event.find('.'));
+      scenario.tracer->instant(sim.now(), object_ids[i], std::move(event),
+                               std::move(cat), a, 0, std::move(arg));
+    }
   }
 
   void run_round(std::size_t group_idx) {
@@ -672,6 +511,8 @@ struct DiscoveryTestbed::Impl {
       sim.run();
     }
     subject->finish_round();
+    report.que1_retransmits += subject->round().que1_retransmits();
+    report.que2_retransmits += subject->round().que2_retransmits();
   }
 
   Bytes fleet_bundle() const {
@@ -755,13 +596,10 @@ DiscoveryReport DiscoveryTestbed::Impl::finalize() {
         break;
       }
     }
-    bool timed_out = false;
-    if (const auto it = subject->exchanges().find(object_ids[i]);
-        it != subject->exchanges().end()) {
-      out.que2_retransmits = it->second.retransmits;
-      out.rejects = it->second.rejects;
-      timed_out = it->second.phase == SubjectNode::Exchange::kTimedOut;
-    }
+    const SubjectRound::Exchange& ex = subject->round().exchanges()[i];
+    out.que2_retransmits = ex.retransmits;
+    out.rejects = ex.rejects;
+    const bool timed_out = ex.phase == SubjectRound::Phase::kTimedOut;
     if ((faulted || flooded) && !out.discovered) {
       using fault::FaultKind;
       // Byzantine corruption can surface on either side: the subject
@@ -812,9 +650,6 @@ DiscoveryReport DiscoveryTestbed::Impl::finalize() {
 DiscoveryTestbed::DiscoveryTestbed(const DiscoveryScenario& scenario)
     : impl_(std::make_unique<Impl>(scenario)) {}
 DiscoveryTestbed::~DiscoveryTestbed() = default;
-DiscoveryTestbed::DiscoveryTestbed(DiscoveryTestbed&&) noexcept = default;
-DiscoveryTestbed& DiscoveryTestbed::operator=(DiscoveryTestbed&&) noexcept =
-    default;
 
 std::size_t DiscoveryTestbed::planned_rounds() const { return impl_->rounds; }
 
@@ -877,14 +712,6 @@ Bytes DiscoveryTestbed::snapshot_subject() const {
 
 persist::RestoreError DiscoveryTestbed::restore_subject(ByteSpan sealed) {
   return impl_->subject->engine().restore(sealed);
-}
-
-Bytes DiscoveryTestbed::object_state_digest(std::size_t index) const {
-  return impl_->objects.at(index)->engine().state_digest();
-}
-
-Bytes DiscoveryTestbed::subject_state_digest() const {
-  return impl_->subject->engine().state_digest();
 }
 
 Bytes DiscoveryTestbed::fleet_bundle() const { return impl_->fleet_bundle(); }

@@ -71,7 +71,6 @@ class SubjectEngine {
   [[nodiscard]] const std::vector<DiscoveredService>& discovered() const {
     return discovered_;
   }
-  void clear_discovered() { discovered_.clear(); }
 
   /// Select which of the subject's group keys the next round uses (§VI-C).
   void set_group_key_index(std::size_t idx);

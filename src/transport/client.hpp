@@ -1,13 +1,14 @@
 // Subject-side discovery client: one SubjectEngine driven over a
-// Transport with the PR-2 retry policy.
+// SockTransport by the shared retry discipline (core::SubjectRound).
 //
 // argusctl's engine room, shared with the in-process transport tests.
 // One round = broadcast QUE1 on the mux broadcast channel, then a
-// QUE2/RES2 exchange per responding channel, with the subject-side
-// recovery discipline of the simulator's retry driver: re-broadcast QUE1
-// while responders are missing, retransmit QUE2 per channel, exponential
-// backoff on both, capped budgets, and a hard round deadline — so a dead
-// daemon or a lossy path degrades to a reported timeout, never a hang.
+// QUE2/RES2 exchange per responding channel. Backoff, budgets and the
+// settle rule are SubjectRound's — the same code the simulator's subject
+// runs — so a dead daemon or a lossy path degrades to a reported
+// timeout, never a hang. The client keeps only the I/O: mux channels,
+// the round deadline, and a deadline list that step() fires in
+// (deadline, arm order).
 //
 // The caller owns the drive loop:
 //
@@ -15,16 +16,16 @@
 //   while (!client.round_done()) { client.step(now); now = ...; }
 //   auto report = client.finish_round(now);
 //
-// which works unchanged over SimTransport (fixed-step virtual clock) and
-// SockTransport (wall clock).
+// The caller also dials the daemon (TransportEndpoint::connect) before
+// the first round: the client only rides an existing connection.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "argus/discovery.hpp"
 #include "argus/subject_engine.hpp"
+#include "argus/subject_round.hpp"
 #include "obs/metrics.hpp"
 #include "transport/mux.hpp"
 #include "transport/transport.hpp"
@@ -42,8 +43,7 @@ struct ClientParams {
 
 struct ClientReport {
   std::size_t expected = 0;
-  std::size_t resolved = 0;   // channels that completed an exchange
-  std::size_t timed_out = 0;  // channels that exhausted their budget
+  std::size_t resolved = 0;  // channels that completed an exchange
   double round_ms = 0;
   std::uint64_t que1_retransmits = 0;
   std::uint64_t que2_retransmits = 0;
@@ -58,10 +58,10 @@ struct ClientReport {
   [[nodiscard]] bool complete() const { return resolved == expected; }
 };
 
-class SubjectClient {
+class SubjectClient final : core::SubjectRound::Io {
  public:
   SubjectClient(core::SubjectEngineConfig cfg, ClientParams params,
-                Transport& transport);
+                SockTransport& transport);
 
   /// Start a round with group key `group_idx` modulo the subject's key
   /// count (round r of a multi-round run passes r).
@@ -81,45 +81,29 @@ class SubjectClient {
   [[nodiscard]] const core::SubjectEngine& engine() const { return engine_; }
 
  private:
-  enum class Phase : std::uint8_t {
-    kAwaitRes1 = 0,  // QUE1 out, nothing from this channel yet
-    kAwaitRes2,      // QUE2 out, waiting for the sealed profile
-    kDone,
-    kTimedOut,
-  };
-
-  struct Exchange {
-    Phase phase = Phase::kAwaitRes1;
-    PeerId peer = 0;  // who answered RES1 (QUE2 retransmit target)
-    Bytes que2_wire;
-    unsigned attempts = 0;       // QUE2 sends so far
-    double deadline_ms = 0;      // next QUE2 retransmit
-    double timeout_ms = 0;       // current backoff interval
+  struct Timer {
+    double due_ms = 0;
+    std::size_t slot = 0;
   };
 
   void on_frame(PeerId from, const Bytes& frame);
-  void broadcast_que1(double now_ms);
-  void resolve(std::size_t channel);
-  [[nodiscard]] bool all_settled() const;
+  void send_que1(const Bytes& wire) override;
+  void resend_que2(std::size_t exchange, const Bytes& wire) override;
+  void arm_timer(std::size_t slot, double delay_ms) override;
+  void cancel_timer(std::size_t slot) override;
   void count(const char* name);
 
   core::SubjectEngine engine_;
   ClientParams params_;
-  Transport& transport_;
+  SockTransport& transport_;
+  core::SubjectRound round_;
+  std::vector<PeerId> peers_;  // per channel: who answered RES1
+  std::vector<Timer> timers_;  // live timers in arm order
 
   bool round_active_ = false;
   double now_ms_ = 0;
   double round_start_ms_ = 0;
-  double round_deadline_ms_ = 0;
-  Bytes que1_wire_;
-  unsigned que1_attempts_ = 0;
-  double que1_deadline_ms_ = 0;
-  double que1_timeout_ms_ = 0;
-  std::vector<Exchange> exchanges_;
-  std::size_t discovered_seen_ = 0;
-  std::uint64_t que1_retx_ = 0;
-  std::uint64_t que2_retx_ = 0;
-  std::uint64_t rejects_ = 0;
+  std::uint64_t rejects_ = 0;  // this round
   std::optional<Bytes> last_stats_;
 };
 

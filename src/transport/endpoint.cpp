@@ -27,10 +27,15 @@ ReliableConn* TransportEndpoint::connect(const NetAddr& peer, double now_ms) {
 
 SendStatus TransportEndpoint::send(const NetAddr& peer, Bytes frame,
                                    double now_ms) {
-  ReliableConn* c = connect(peer, now_ms);
-  const SendStatus st = c->send(std::move(frame), now_ms);
-  if (st == SendStatus::kCongested) count("transport.congested");
   Entry* e = find(peer);
+  if (e == nullptr) {
+    // Never dial here: a reply to a peer whose FIN was just reaped would
+    // otherwise open a fresh connection nobody answers.
+    count("transport.send_no_conn");
+    return SendStatus::kClosed;
+  }
+  const SendStatus st = e->conn->send(std::move(frame), now_ms);
+  if (st == SendStatus::kCongested) count("transport.congested");
   e->lru = ++lru_seq_;
   flush(peer, *e);
   return st;
@@ -127,14 +132,6 @@ std::size_t TransportEndpoint::established_conns() const {
   std::size_t n = 0;
   for (const auto& [peer, e] : conns_) n += e.conn->established() ? 1 : 0;
   return n;
-}
-
-std::vector<NetAddr> TransportEndpoint::established_peers() const {
-  std::vector<NetAddr> peers;
-  for (const auto& [peer, e] : conns_) {
-    if (e.conn->established()) peers.push_back(peer);
-  }
-  return peers;
 }
 
 std::vector<NetAddr> TransportEndpoint::live_peers() const {

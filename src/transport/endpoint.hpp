@@ -3,9 +3,13 @@
 // A TransportEndpoint owns every ReliableConn reachable through its
 // socket, keyed by peer address (loopback/LAN addressing is stable, so
 // the address is the identity; the conn id inside the packets detects a
-// peer that restarted and re-dialed). The table is LRU-bounded: dialing
-// or accepting past `max_conns` evicts the least-recently-active
-// connection — a SYN flood can churn the table but never grow it.
+// peer that restarted and re-dialed). Connections open two ways only:
+// connect() dials, and a peer's SYN is accepted; send() rides an
+// existing connection and never dials, so a reply to a client that has
+// just closed is dropped instead of re-opening the connection. The
+// table is LRU-bounded: dialing or accepting past `max_conns` evicts the
+// least-recently-active connection — a SYN flood can churn the table but
+// never grow it.
 //
 // pump() is the single drive point: drain the socket, route packets,
 // tick every connection's timers, flush their outgoing datagrams, and
@@ -46,10 +50,14 @@ class TransportEndpoint {
                     obs::MetricsRegistry* metrics = nullptr,
                     obs::Tracer* tracer = nullptr);
 
-  /// Dial `peer` (or return the live connection to it).
+  /// Dial `peer` (or return the live connection to it). The only call
+  /// that opens an outbound connection.
   ReliableConn* connect(const NetAddr& peer, double now_ms);
 
-  /// Reliable-ordered send of one application frame; dials on first use.
+  /// Reliable-ordered send of one application frame over the live
+  /// connection to `peer`. Never dials: with no connection (never
+  /// connected, or already closed and reaped) the frame is refused with
+  /// kClosed and counted as `transport.send_no_conn`.
   SendStatus send(const NetAddr& peer, Bytes frame, double now_ms);
 
   struct Inbound {
@@ -69,8 +77,6 @@ class TransportEndpoint {
   [[nodiscard]] const NetAddr& local_addr() const { return local_; }
   [[nodiscard]] std::size_t live_conns() const { return conns_.size(); }
   [[nodiscard]] std::size_t established_conns() const;
-  /// Peers with an established connection (broadcast fan-out set).
-  [[nodiscard]] std::vector<NetAddr> established_peers() const;
   /// Every peer with a live (non-defunct) connection, dialing included —
   /// frames sent to a still-handshaking peer queue behind its SYN.
   [[nodiscard]] std::vector<NetAddr> live_peers() const;

@@ -1,20 +1,16 @@
-// Object-side daemon core: N ObjectEngines behind one Transport.
+// Object-side daemon core: N ObjectEngines behind one SockTransport.
 //
 // The host is argusd's engine room, kept tool-free so the in-process
 // transport tests drive exactly the daemon's code path. It demuxes
 // inbound frames (mux.hpp) onto the hosted engines — a broadcast channel
 // frame (QUE1) fans out to every engine, a unicast channel addresses one
-// — and sends each engine's reply back on that engine's channel. PR-5
-// admission control and PR-8 session resumption run whenever the engine
-// configs arm them; the `peer` handed to the engines is the transport
-// PeerId (a packed socket address on the real path), so per-peer
-// admission buckets track real remote endpoints.
+// — and sends each engine's reply back on that engine's channel. The
+// `peer` handed to the engines is the sender's packed socket address, so
+// per-peer admission buckets track real remote endpoints.
 //
-// Persistence (ISSUE-10 satellite): with a snapshot path set, the host
-// writes a sealed fleet bundle via the persist layer's atomic file
-// helpers on demand, on an interval, and on shutdown, and restores
-// blank-or-exact per engine on startup — an engine whose section is
-// missing or damaged starts blank while its neighbours restore.
+// With a snapshot path set, the host writes a sealed fleet bundle on
+// demand, on an interval and on shutdown, and restores blank-or-exact
+// per engine on startup: a damaged section leaves only its engine blank.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +40,7 @@ struct HostConfig {
 
 class ObjectHost {
  public:
-  ObjectHost(HostConfig cfg, Transport& transport);
+  ObjectHost(HostConfig cfg, SockTransport& transport);
 
   /// Drive the transport and the host's clocks (engine TTLs, interval
   /// snapshots). Inbound frames are handled inside this call.
@@ -86,7 +82,7 @@ class ObjectHost {
   void handle_ctl(PeerId from, ByteSpan payload, double now_ms);
 
   HostConfig cfg_;
-  Transport& transport_;
+  SockTransport& transport_;
   std::vector<std::unique_ptr<core::ObjectEngine>> engines_;
   double now_ms_ = 0;
   double last_snapshot_ms_ = 0;

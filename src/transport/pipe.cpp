@@ -11,17 +11,10 @@ std::unique_ptr<PipeSocket> PipeHub::open(std::uint16_t port) {
   return std::unique_ptr<PipeSocket>(new PipeSocket(this, loopback(port)));
 }
 
-std::size_t PipeHub::pending() const {
-  std::size_t n = 0;
-  for (const auto& [port, inbox] : inboxes_) n += inbox.q.size();
-  return n;
-}
-
 bool PipeHub::deliver(const NetAddr& from, const NetAddr& to, ByteSpan data) {
   const auto it = inboxes_.find(to.port);
   if (it == inboxes_.end() || to.ip != loopback(0).ip) {
-    unrouted_++;  // UDP semantics: a send into the void still "succeeds"
-    return true;
+    return true;  // UDP semantics: a send into the void still "succeeds"
   }
   it->second.q.emplace_back(from, Bytes(data.begin(), data.end()));
   return true;

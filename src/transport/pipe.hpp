@@ -29,11 +29,6 @@ class PipeHub {
   /// The socket must not outlive the hub.
   std::unique_ptr<PipeSocket> open(std::uint16_t port = 0);
 
-  /// Datagrams sitting in every socket's inbox.
-  [[nodiscard]] std::size_t pending() const;
-  /// Sends whose destination had no open socket.
-  [[nodiscard]] std::uint64_t unrouted() const { return unrouted_; }
-
  private:
   friend class PipeSocket;
 
@@ -46,7 +41,6 @@ class PipeHub {
 
   std::map<std::uint16_t, Inbox> inboxes_;
   std::uint16_t next_port_ = 40000;
-  std::uint64_t unrouted_ = 0;
 };
 
 class PipeSocket final : public DatagramSocket {

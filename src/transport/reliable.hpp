@@ -54,8 +54,6 @@ enum class ConnState : std::uint8_t {
   kDead = 4,    // retries/keep-alive exhausted — reap me
 };
 
-const char* conn_state_name(ConnState s);
-
 /// Why a connection reached kDead (for conn.dead.<reason> counters).
 enum class DeadReason : std::uint8_t {
   kNone = 0,
@@ -110,7 +108,6 @@ class ReliableConn {
   [[nodiscard]] bool defunct() const {
     return state_ == ConnState::kClosed || state_ == ConnState::kDead;
   }
-  [[nodiscard]] double last_recv_ms() const { return last_recv_ms_; }
   [[nodiscard]] std::size_t in_flight() const { return in_flight_.size(); }
   [[nodiscard]] std::size_t queued() const { return send_queue_.size(); }
   [[nodiscard]] std::size_t recv_buffered() const { return recv_buf_.size(); }

@@ -565,5 +565,34 @@ TEST(DiscoveryTest, MultiRoundFindsServicesAcrossGroups) {
   EXPECT_EQ(covert, 2u);
 }
 
+TEST(DiscoveryTest, RepeatRoundSettlesWithoutRetransmits) {
+  // A second round re-discovers services the subject already holds. The
+  // engine dedupes them, and the round must still settle on their terminal
+  // frames: no spurious QUE1/QUE2 retransmits, no budget-long round.
+  for (const Level level : {Level::kL1, Level::kL2, Level::kL3}) {
+    const Fleet f = make_fleet(5, level);
+    DiscoveryScenario sc = scenario_for(f);
+    sc.retry.mode = RetryMode::kOn;
+
+    DiscoveryTestbed one(sc);
+    one.run_round(0);
+    const DiscoveryReport first = one.finalize();
+
+    DiscoveryTestbed two(sc);
+    two.run_round(0);
+    const double round0_ms = two.now();
+    two.run_round(1);
+    const double round1_ms = two.now() - round0_ms;
+    const DiscoveryReport both = two.finalize();
+
+    const int lv = static_cast<int>(level);
+    EXPECT_EQ(both.services.size(), 5u) << "level " << lv;
+    EXPECT_EQ(both.que1_retransmits, first.que1_retransmits) << "level " << lv;
+    EXPECT_EQ(both.que2_retransmits, first.que2_retransmits) << "level " << lv;
+    EXPECT_GT(round0_ms, 0) << "level " << lv;
+    EXPECT_LE(round1_ms, 2 * round0_ms) << "level " << lv;
+  }
+}
+
 }  // namespace
 }  // namespace argus::core

@@ -1,9 +1,9 @@
 // In-process daemon round trips: ObjectHost + SubjectClient — the exact
 // engine rooms behind argusd/argusctl — driven over the pipe hub with
-// loss, over the simulator backend, and over real UDP loopback. The
-// lossy pipe run must produce the same engine-level result set as the
-// authoritative simulator (core::run_discovery), which is the same
-// parity the CI loopback smoke asserts across two processes.
+// loss and over real UDP loopback. The lossy pipe run must produce the
+// same engine-level result set as the authoritative simulator
+// (core::run_discovery), which is the same parity the CI loopback smoke
+// asserts across two processes.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,7 +16,6 @@
 #include "common/serde.hpp"
 #include "fault/netem.hpp"
 #include "harness/sweep.hpp"
-#include "net/sim.hpp"
 #include "obs/metrics.hpp"
 #include "transport/client.hpp"
 #include "transport/host.hpp"
@@ -173,33 +172,6 @@ TEST(Daemon, CleanPipeRoundNoRetransmits) {
   EXPECT_EQ(report.que1_retransmits + report.que2_retransmits, 0u);
 }
 
-TEST(Daemon, SimTransportBackendParity) {
-  // The same engine rooms over the simulator backend: the transport
-  // abstraction must not perturb the discovery outcome.
-  const core::DiscoveryScenario scenario = scenario_for(12);
-  net::Simulator sim;
-  net::Network network(sim, net::RadioParams{}, scenario.seed);
-  SimTransport ctrans(network, 0);
-  SimTransport dtrans(network, 1);
-  obs::MetricsRegistry metrics;
-  ObjectHost host(host_config(scenario, &metrics), dtrans);
-  SubjectClient client(subject_config(scenario, &metrics),
-                       client_params(scenario), ctrans);
-
-  double now = 0;
-  client.begin_round(0, now);
-  while (!client.round_done() && now < 60000) {
-    now += 5;
-    host.pump(now);
-    client.step(now);
-  }
-  const ClientReport report = client.finish_round(now);
-  EXPECT_TRUE(report.complete());
-  const core::DiscoveryReport ref = core::run_discovery(scenario);
-  EXPECT_EQ(result_set(ref.services),
-            result_set(client.engine().discovered()));
-}
-
 TEST(Daemon, UdpLoopbackRound) {
   const core::DiscoveryScenario scenario = scenario_for(5);
   auto dsock = UdpSocket::bind_loopback(0);
@@ -305,6 +277,80 @@ TEST(Daemon, RoundIndexWrapsOverGroupKeys) {
   const ClientReport report = d.run_round(5);
   EXPECT_TRUE(report.complete())
       << report.resolved << "/" << report.expected;
+}
+
+TEST(Daemon, CrowdOfClientsSharesOneHostAndLeavesNoConnection) {
+  // The shape of the daemon_crowd benchmark workload: one host with 20
+  // Level-3 objects, four subjects with distinct DRBG seeds, two rounds
+  // each, then every client closes and the host must drain to an empty
+  // table without dialing anyone back.
+  const core::DiscoveryScenario scenario = scenario_for(20, /*level=*/3);
+  PipeHub hub;
+  obs::MetricsRegistry metrics;
+  auto dsock = hub.open(0);
+  TransportEndpoint dend(*dsock, PipeDeployment::daemon_params(), &metrics);
+  SockTransport dtrans(dend);
+  ObjectHost host(host_config(scenario, &metrics), dtrans);
+
+  struct Client {
+    std::unique_ptr<PipeSocket> sock;
+    std::unique_ptr<TransportEndpoint> end;
+    std::unique_ptr<SockTransport> trans;
+    std::unique_ptr<SubjectClient> client;
+  };
+  std::vector<Client> clients(4);
+  double now = 0;
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    Client& c = clients[i];
+    EndpointParams ep;
+    ep.conn_id_base = 9000 + 100 * static_cast<std::uint32_t>(i);
+    core::SubjectEngineConfig scfg = subject_config(scenario);
+    scfg.seed = scenario.seed + 1 + i;
+    c.sock = hub.open(0);
+    c.end = std::make_unique<TransportEndpoint>(*c.sock, ep);
+    c.trans = std::make_unique<SockTransport>(*c.end);
+    c.client = std::make_unique<SubjectClient>(
+        std::move(scfg), client_params(scenario), *c.trans);
+    c.end->connect(dsock->local_addr(), now);
+  }
+
+  const auto expected = result_set(core::run_discovery(scenario).services);
+  for (std::size_t round = 0; round < 2; ++round) {
+    for (Client& c : clients) c.client->begin_round(round, now);
+    const double limit = now + 60000;
+    const auto all_done = [&] {
+      for (const Client& c : clients) {
+        if (!c.client->round_done()) return false;
+      }
+      return true;
+    };
+    while (!all_done() && now < limit) {
+      now += 5;
+      host.pump(now);
+      for (Client& c : clients) c.client->step(now);
+    }
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      const ClientReport report = clients[i].client->finish_round(now);
+      EXPECT_TRUE(report.complete())
+          << "client " << i << " round " << round << ": " << report.resolved
+          << "/" << report.expected;
+      EXPECT_EQ(result_set(report.services), expected) << "client " << i;
+    }
+  }
+  for (std::size_t i = 0; i < host.engine_count(); ++i) {
+    const auto& st = host.engine(i).stats();
+    EXPECT_EQ(st.rejects, 0u) << "object " << i;
+    EXPECT_EQ(st.shed_overload + st.rate_limited, 0u) << "object " << i;
+  }
+
+  for (Client& c : clients) c.end->close_all(now);
+  const double drain_until = now + ReliableParams{}.keepalive_timeout_ms;
+  while (dend.live_conns() > 0 && now < drain_until) {
+    now += 5;
+    host.pump(now);
+  }
+  EXPECT_EQ(dend.live_conns(), 0u);
+  EXPECT_EQ(dend.stats().opened, 0u);
 }
 
 }  // namespace

@@ -36,6 +36,7 @@ struct TwoEndpoints {
 
 TEST(Endpoint, EstablishAndExchangeBothWays) {
   TwoEndpoints t;
+  t.a.connect(t.sb->local_addr(), t.now);
   ASSERT_EQ(t.a.send(t.sb->local_addr(), Bytes{1, 2, 3}, t.now),
             SendStatus::kQueued);
   std::vector<TransportEndpoint::Inbound> at_b;
@@ -77,6 +78,7 @@ TEST(Endpoint, LruBoundHoldsUnderDialFlood) {
     socks.push_back(hub.open(0));
     clients.push_back(
         std::make_unique<TransportEndpoint>(*socks.back(), EndpointParams{}));
+    clients.back()->connect(server_sock->local_addr(), now);
     clients.back()->send(server_sock->local_addr(),
                          Bytes{static_cast<std::uint8_t>(c)}, now);
     for (int i = 0; i < 10; ++i) {
@@ -118,6 +120,7 @@ TEST(Endpoint, PeerRestartReplacesConnection) {
   double now = 0;
 
   auto dial = [&](TransportEndpoint& client) {
+    client.connect(server_sock->local_addr(), now);
     client.send(server_sock->local_addr(), Bytes{1}, now);
     for (int i = 0; i < 20; ++i) {
       now += 5;
@@ -187,6 +190,7 @@ TEST(Endpoint, KeepaliveReapsVanishedPeer) {
   {
     auto client_sock = hub.open(0);
     TransportEndpoint client(*client_sock, {});
+    client.connect(server_sock->local_addr(), now);
     client.send(server_sock->local_addr(), Bytes{1}, now);
     for (int i = 0; i < 20; ++i) {
       now += 5;
@@ -207,6 +211,7 @@ TEST(Endpoint, KeepaliveReapsVanishedPeer) {
 
 TEST(Endpoint, OrderlyCloseDrainsBothTables) {
   TwoEndpoints t;
+  t.a.connect(t.sb->local_addr(), t.now);
   t.a.send(t.sb->local_addr(), Bytes{1}, t.now);
   for (int i = 0; i < 20; ++i) t.step(5);
   ASSERT_EQ(t.a.established_conns(), 1u);
@@ -215,6 +220,40 @@ TEST(Endpoint, OrderlyCloseDrainsBothTables) {
   EXPECT_EQ(t.a.live_conns(), 0u);
   EXPECT_EQ(t.b.live_conns(), 0u);
   EXPECT_GE(t.a.stats().closed + t.b.stats().closed, 2u);
+}
+
+TEST(Endpoint, SendWithoutConnectionIsRefused) {
+  obs::MetricsRegistry metrics;
+  PipeHub hub;
+  auto sa = hub.open(0);
+  auto sb = hub.open(0);
+  TransportEndpoint a(*sa, {}, &metrics);
+  EXPECT_EQ(a.send(sb->local_addr(), Bytes{1}, 0), SendStatus::kClosed);
+  EXPECT_EQ(a.live_conns(), 0u);
+  EXPECT_EQ(a.stats().opened, 0u);
+  EXPECT_EQ(metrics.counter("transport.send_no_conn").value(), 1u);
+}
+
+TEST(Endpoint, ReplyAfterPeerCloseDoesNotRedial) {
+  // A client's last DATA and its FIN land in one server pump. The
+  // connection is reaped in that pump, so the server's reply to the DATA
+  // must be dropped, not carried on a freshly dialed connection whose SYN
+  // retries would outlive a daemon's shutdown drain.
+  TwoEndpoints t;
+  t.a.connect(t.sb->local_addr(), t.now);
+  for (int i = 0; i < 20; ++i) t.step(5);
+  ASSERT_EQ(t.b.established_conns(), 1u);
+
+  t.a.send(t.sb->local_addr(), Bytes{9}, t.now);
+  t.a.close(t.sb->local_addr(), t.now);
+  t.now += 5;
+  const auto at_b = t.b.pump(t.now);
+  ASSERT_EQ(at_b.size(), 1u);
+  ASSERT_EQ(t.b.live_conns(), 0u);
+  EXPECT_EQ(t.b.send(at_b[0].from, Bytes{10}, t.now), SendStatus::kClosed);
+  for (int i = 0; i < 20; ++i) t.step(5);
+  EXPECT_EQ(t.b.stats().opened, 0u);
+  EXPECT_EQ(t.b.live_conns(), 0u);
 }
 
 }  // namespace
