@@ -54,35 +54,22 @@ core::DiscoveryScenario scenario_for(std::size_t objects) {
   return harness::make_scenario(point);
 }
 
+/// `cfg` reporting into `metrics`.
+template <typename Config>
+Config metered(Config cfg, obs::MetricsRegistry* metrics) {
+  cfg.metrics = metrics;
+  return cfg;
+}
+
 transport::HostConfig host_config(const core::DiscoveryScenario& scenario,
                                   obs::MetricsRegistry* metrics) {
   transport::HostConfig cfg;
   cfg.epoch = scenario.epoch;
   cfg.metrics = metrics;
   for (std::size_t i = 0; i < scenario.objects.size(); ++i) {
-    core::ObjectEngineConfig ocfg;
-    ocfg.version = scenario.version;
-    ocfg.creds = scenario.objects[i].creds;
-    ocfg.admin_pub = scenario.admin_pub;
-    ocfg.strength = scenario.strength;
-    ocfg.seed = scenario.seed + 1000 + i;
-    ocfg.metrics = metrics;
-    cfg.objects.push_back(std::move(ocfg));
+    cfg.objects.push_back(metered(core::object_config(scenario, i), metrics));
   }
   return cfg;
-}
-
-core::SubjectEngineConfig subject_config(
-    const core::DiscoveryScenario& scenario, obs::MetricsRegistry* metrics) {
-  core::SubjectEngineConfig scfg;
-  scfg.version = scenario.version;
-  scfg.creds = scenario.subject;
-  scfg.admin_pub = scenario.admin_pub;
-  scfg.strength = scenario.strength;
-  scfg.seed = scenario.seed;
-  scfg.seek_level3 = scenario.seek_level3;
-  scfg.metrics = metrics;
-  return scfg;
 }
 
 transport::ClientParams client_params(const core::DiscoveryScenario& s) {
@@ -139,8 +126,9 @@ VirtualCell run_virtual(const Grid& grid, double loss) {
   transport::TransportEndpoint cend(cshim, endpoint_params(9000), &metrics);
   transport::SockTransport dtrans(dend), ctrans(cend);
   transport::ObjectHost host(host_config(scenario, &metrics), dtrans);
-  transport::SubjectClient client(subject_config(scenario, &metrics),
-                                  client_params(scenario), ctrans);
+  transport::SubjectClient client(
+      metered(core::subject_config(scenario), &metrics),
+      client_params(scenario), ctrans);
 
   VirtualCell cell;
   double now = 0;
@@ -192,8 +180,9 @@ WallCell run_wall(const Grid& grid, double loss, std::uint64_t repeat) {
   transport::TransportEndpoint cend(cshim, endpoint_params(9000), &metrics);
   transport::SockTransport dtrans(dend), ctrans(cend);
   transport::ObjectHost host(host_config(scenario, &metrics), dtrans);
-  transport::SubjectClient client(subject_config(scenario, &metrics),
-                                  client_params(scenario), ctrans);
+  transport::SubjectClient client(
+      metered(core::subject_config(scenario), &metrics),
+      client_params(scenario), ctrans);
 
   const double start = transport::steady_now_ms();
   const auto now = [&] { return transport::steady_now_ms() - start; };

@@ -5,7 +5,7 @@
 #include <optional>
 #include <string_view>
 
-#include "fault/byzantine.hpp"
+#include "argus/object_station.hpp"
 #include "fault/chaos.hpp"
 
 namespace argus::core {
@@ -22,10 +22,6 @@ const char* wire_type_name(ByteSpan wire) {
     case MsgType::kRes2: return "RES2";
   }
   return "?";
-}
-
-bool is_msg(ByteSpan wire, MsgType t) {
-  return !wire.empty() && static_cast<MsgType>(wire[0]) == t;
 }
 
 // Per-run observability context. `metrics` always points at the run-local
@@ -63,84 +59,46 @@ struct Shared {
   }
 };
 
-class ObjectNode final : public net::SimNode {
+/// The simulator's object: an ObjectStation on the radio. It joins the
+/// network as it is built, traces the handle.* span, charges the station's
+/// modelled cost to its node and sends the reply.
+class ObjectNode final : public net::SimNode, ObjectStation::Meter {
  public:
-  ObjectNode(ObjectEngineConfig cfg, Shared* shared)
-      : cfg_(std::move(cfg)), shared_(shared) {
-    engine_.emplace(cfg_);
-  }
-
-  /// Reboot after a crash: the engine restarts from its config with an
-  /// empty session table (and a reset DRBG — bad post-reboot entropy is
-  /// realistic). Any Byzantine arming dies with the old process image.
-  void restart_engine() { engine_.emplace(cfg_); }
-
-  /// Silent-drop zombie: the node keeps receiving and even burns compute,
-  /// but no reply ever leaves it again.
-  void make_zombie() { zombie_ = true; }
-
-  void arm_byzantine(fault::ByzantineMode mode, std::uint64_t seed) {
-    engine_->arm(mode, seed);
-  }
+  ObjectNode(ObjectEngineConfig cfg, Shared* shared, net::Network& net,
+             unsigned hops)
+      : shared_(shared),
+        station_(std::move(cfg), {shared->tracer, shared->metrics,
+                                  net.add_node(this, hops), this}) {}
 
   void on_message(net::NodeId from, const Bytes& payload) override {
     obs::Tracer* const tr = shared_->tracer;
-    const std::uint64_t fellows_before =
-        engine_->inner().stats().fellows_confirmed;
     if (tr) {
       tr->begin(net_->now(), node_id(),
                 std::string("handle.") + wire_type_name(payload), "phase",
                 payload.size());
     }
-    engine_->inner().advance_clock(net_->now());
-    auto reply = engine_->handle(payload, shared_->epoch, from);
-    const double ms = engine_->take_consumed_ms();
-    net_->consume_compute(node_id(), ms);
-    shared_->report->object_compute_ms += ms;
-    if (tr && is_reject(reply.status)) {
-      tr->instant(net_->now(), node_id(),
-                  std::string("reject.") + status_name(reply.status), "fault",
-                  payload.size(), from);
-    }
-    if (tr && is_shed(reply.status)) {
-      // Admission sheds only fire when admission control is enabled, so
-      // flood-free traces stay byte-identical.
-      tr->instant(net_->now(), node_id(),
-                  std::string("shed.") + status_name(reply.status), "fault",
-                  payload.size(), from);
-    }
-    std::uint64_t reply_level = 0;
-    if (reply && zombie_) {
-      // The engine did the work; the zombie eats the reply.
-      shared_->metrics->counter("fault.zombie_suppressed").inc();
-      if (tr) {
-        tr->instant(net_->now(), node_id(), "drop.zombie", "fault",
-                    reply->size(), from);
-      }
-      reply.reply.reset();
-    }
-    if (reply) {
-      if (is_msg(*reply, MsgType::kRes2)) {
-        reply_level =
-            engine_->inner().stats().fellows_confirmed > fellows_before ? 3
-                                                                        : 2;
-      }
-      shared_->unicast(*net_, node_id(), from, std::move(*reply),
-                       reply_level);
+    ObjectStation::Step step =
+        station_.step(payload, shared_->epoch, from, net_->now());
+    if (step.result) {
+      shared_->unicast(*net_, node_id(), from, std::move(*step.result),
+                       step.level);
     }
     // The span closes when the node's modeled compute drains; its `b`
     // carries the reply level the auditor partitions faces by.
-    if (tr) tr->end(net_->node_free_at(node_id()), node_id(), 0, reply_level);
+    if (tr) tr->end(net_->node_free_at(node_id()), node_id(), 0, step.level);
   }
 
-  ObjectEngine& engine() { return engine_->inner(); }
-  [[nodiscard]] const ObjectEngine& engine() const { return engine_->inner(); }
+  ObjectStation& station() { return station_; }
+  ObjectEngine& engine() { return station_.engine(); }
 
  private:
-  ObjectEngineConfig cfg_;  // kept for reboot-time engine rebuilds
-  std::optional<fault::ByzantineEngine<ObjectEngine>> engine_;
-  bool zombie_ = false;
+  void charge(double ms) override {
+    net_->consume_compute(node_id(), ms);
+    shared_->report->object_compute_ms += ms;
+  }
+
   Shared* shared_;
+  ObjectStation station_;
 };
 
 /// The simulator's subject: SubjectRound's policy over the radio, plus
@@ -346,16 +304,7 @@ struct DiscoveryTestbed::Impl {
     net.set_tracer(scenario.tracer);
     net.set_metrics(scenario.metrics);
 
-    SubjectEngineConfig scfg;
-    scfg.version = scenario.version;
-    scfg.creds = scenario.subject;
-    scfg.admin_pub = scenario.admin_pub;
-    scfg.strength = scenario.strength;
-    scfg.seed = scenario.seed;
-    scfg.compute = scenario.subject_compute;
-    scfg.seek_level3 = scenario.seek_level3;
-    scfg.metrics = scenario.metrics;
-    subject.emplace(std::move(scfg), &shared);
+    subject.emplace(subject_config(scenario), &shared);
     net.add_node(&*subject, 0);
     if (scenario.tracer) {
       scenario.tracer->instant(sim.now(), subject->node_id(), "node", "meta",
@@ -365,22 +314,10 @@ struct DiscoveryTestbed::Impl {
     objects.reserve(scenario.objects.size());
     object_ids.reserve(scenario.objects.size());
     for (std::size_t i = 0; i < scenario.objects.size(); ++i) {
-      ObjectEngineConfig ocfg;
-      ocfg.version = scenario.version;
-      ocfg.creds = scenario.objects[i].creds;
-      ocfg.admin_pub = scenario.admin_pub;
-      ocfg.strength = scenario.strength;
-      ocfg.seed = scenario.seed + 1000 + i;
-      ocfg.compute = scenario.object_compute;
-      ocfg.pad_res2 = scenario.pad_res2;
-      ocfg.equalize_timing = scenario.equalize_timing;
-      ocfg.admission = scenario.admission;
-      ocfg.replay_window = scenario.replay_window;
-      ocfg.metrics = scenario.metrics;
-      objects.push_back(
-          std::make_unique<ObjectNode>(std::move(ocfg), &shared));
-      const net::NodeId id = net.add_node(
-          objects.back().get(), std::max(1u, scenario.objects[i].hops));
+      objects.push_back(std::make_unique<ObjectNode>(
+          object_config(scenario, i), &shared, net,
+          std::max(1u, scenario.objects[i].hops)));
+      const net::NodeId id = objects.back()->node_id();
       object_ids.push_back(id);
       if (scenario.tracer) {
         scenario.tracer->instant(
@@ -437,7 +374,7 @@ struct DiscoveryTestbed::Impl {
       }
     };
     hooks.reboot = [this](std::size_t i) {
-      objects[i]->restart_engine();  // empty session table, fresh DRBG
+      objects[i]->station().reboot();  // empty session table, fresh DRBG
       if (scenario.faults.reboot_policy ==
           fault::RebootPolicy::kFromSnapshot) {
         // Strict restore: any integrity/identity failure leaves the
@@ -470,12 +407,12 @@ struct DiscoveryTestbed::Impl {
       note(i, nullptr, "fault.straggle.end");
     };
     hooks.zombie = [this](std::size_t i) {
-      objects[i]->make_zombie();
+      objects[i]->station().make_zombie();
       note(i, "fault.zombie", "fault.zombie");
     };
     hooks.byzantine = [this](std::size_t i, fault::ByzantineMode mode,
                              std::uint64_t seed) {
-      objects[i]->arm_byzantine(mode, seed);
+      objects[i]->station().arm_byzantine(mode, seed);
       note(i, "fault.byzantine", "fault.byzantine",
            static_cast<std::uint64_t>(mode));
     };
@@ -518,9 +455,8 @@ struct DiscoveryTestbed::Impl {
   Bytes fleet_bundle() const {
     persist::BundleEntries entries;
     entries.emplace_back("subject", subject->engine().snapshot());
-    for (std::size_t i = 0; i < objects.size(); ++i) {
-      entries.emplace_back("object:" + scenario.objects[i].creds.id,
-                           objects[i]->engine().snapshot());
+    for (const auto& obj : objects) {
+      entries.push_back(obj->station().bundle_entry());
     }
     return persist::seal_bundle(entries);
   }
@@ -725,6 +661,36 @@ void DiscoveryTestbed::rearm_faults(const fault::FaultPlan& plan) {
 void DiscoveryTestbed::reset_window() {
   impl_->report.timeline.clear();
   impl_->report.timeline.shrink_to_fit();
+}
+
+ObjectEngineConfig object_config(const DiscoveryScenario& scenario,
+                                 std::size_t i) {
+  ObjectEngineConfig cfg;
+  cfg.version = scenario.version;
+  cfg.creds = scenario.objects.at(i).creds;
+  cfg.admin_pub = scenario.admin_pub;
+  cfg.strength = scenario.strength;
+  cfg.seed = scenario.seed + 1000 + i;
+  cfg.compute = scenario.object_compute;
+  cfg.pad_res2 = scenario.pad_res2;
+  cfg.equalize_timing = scenario.equalize_timing;
+  cfg.admission = scenario.admission;
+  cfg.replay_window = scenario.replay_window;
+  cfg.metrics = scenario.metrics;
+  return cfg;
+}
+
+SubjectEngineConfig subject_config(const DiscoveryScenario& scenario) {
+  SubjectEngineConfig cfg;
+  cfg.version = scenario.version;
+  cfg.creds = scenario.subject;
+  cfg.admin_pub = scenario.admin_pub;
+  cfg.strength = scenario.strength;
+  cfg.seed = scenario.seed;
+  cfg.compute = scenario.subject_compute;
+  cfg.seek_level3 = scenario.seek_level3;
+  cfg.metrics = scenario.metrics;
+  return cfg;
 }
 
 DiscoveryReport run_discovery(const DiscoveryScenario& scenario) {

@@ -7,6 +7,12 @@
 // long-horizon drivers (the soak harness, persistence tools) can
 // interleave rounds with snapshot/restore cycles, re-armed fault plans,
 // and state-size probes.
+//
+// The simulator's nodes are thin radio wrappers around the protocol
+// logic argusd shares: each object node drives an ObjectStation
+// (argus/object_station.hpp) and the subject node a SubjectRound
+// (argus/subject_round.hpp). object_config()/subject_config() map a
+// scenario onto engine configs for every driver, the daemon included.
 #pragma once
 
 #include <map>
@@ -206,6 +212,14 @@ struct DiscoveryReport {
 
   [[nodiscard]] std::size_t count_level(int level) const;
 };
+
+/// Engine config of scenario object `i`: the scenario's protocol,
+/// strength, compute model, v3.0 measures, admission and replay bounds
+/// and metrics sink, with DRBG seed `scenario.seed + 1000 + i`.
+ObjectEngineConfig object_config(const DiscoveryScenario& scenario,
+                                 std::size_t i);
+/// Engine config of the scenario's subject (DRBG seed `scenario.seed`).
+SubjectEngineConfig subject_config(const DiscoveryScenario& scenario);
 
 /// Run one full discovery (possibly multi-round) to completion.
 DiscoveryReport run_discovery(const DiscoveryScenario& scenario);

@@ -75,11 +75,8 @@ HandleResult SubjectEngine::handle(ByteSpan wire, std::uint64_t now) {
 }
 
 void SubjectEngine::record(DiscoveredService svc) {
-  for (const auto& existing : discovered_) {
-    if (existing.object_id == svc.object_id &&
-        existing.variant_tag == svc.variant_tag) {
-      return;
-    }
+  if (!discovered_keys_.emplace(svc.object_id, svc.variant_tag).second) {
+    return;
   }
   discovered_.push_back(std::move(svc));
 }

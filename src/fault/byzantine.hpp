@@ -1,17 +1,15 @@
-// Byzantine peer wrapper: an engine whose replies are corrupted.
+// Byzantine peer: replies corrupted after the honest engine produced them.
 //
 // ByzantineMutator rewrites reply bytes under a seeded DRBG (truncate /
-// bit-flip / replay-previous, or a per-reply mix). ByzantineEngine<E>
-// wraps any engine with a `handle(wire, now)` member and mutates whatever
-// it returns once armed; unarmed it forwards untouched, so wrapping an
-// honest node costs nothing and changes no bytes. The corruption happens
-// *after* the honest engine ran — a Byzantine node does the work and then
-// lies about it, which is the adversary the paper's MAC/signature checks
-// must catch.
+// bit-flip / replay-previous, or a per-reply mix). The object station
+// (argus/object_station.hpp) runs each reply through its mutator once
+// the chaos layer arms it; unarmed, no reply is touched. The corruption
+// happens *after* the honest engine ran — a Byzantine node does the work
+// and then lies about it, which is the adversary the paper's
+// MAC/signature checks must catch.
 #pragma once
 
 #include <optional>
-#include <utility>
 
 #include "common/bytes.hpp"
 #include "crypto/drbg.hpp"
@@ -42,48 +40,4 @@ class ByzantineMutator {
   std::uint64_t mutations_ = 0;
 };
 
-template <typename Engine>
-class ByzantineEngine {
- public:
-  template <typename... Args>
-  explicit ByzantineEngine(Args&&... args)
-      : engine_(std::forward<Args>(args)...) {}
-
-  void arm(ByzantineMode mode, std::uint64_t seed) {
-    mutator_.arm(mode, seed);
-  }
-  [[nodiscard]] bool armed() const { return mutator_.armed(); }
-
-  /// Forward to the wrapped engine, then corrupt the reply when armed.
-  /// The return type follows the wrapped engine's handle() so callers
-  /// keep their status taxonomy.
-  auto handle(ByteSpan wire, std::uint64_t now, std::uint64_t peer = 0) {
-    auto result = engine_.handle(wire, now, peer);
-    if (mutator_.armed() && result.has_value()) {
-      *result = mutator_.mutate(std::move(*result));
-    }
-    return result;
-  }
-
-  double take_consumed_ms() { return engine_.take_consumed_ms(); }
-
-  Engine& inner() { return engine_; }
-  const Engine& inner() const { return engine_; }
-  [[nodiscard]] std::uint64_t mutations() const {
-    return mutator_.mutations();
-  }
-
- private:
-  Engine engine_;
-  ByzantineMutator mutator_;
-};
-
 }  // namespace argus::fault
-
-namespace argus::core {
-class ObjectEngine;
-}
-
-namespace argus::fault {
-using ByzantineObjectEngine = ByzantineEngine<core::ObjectEngine>;
-}

@@ -8,10 +8,14 @@ namespace argus::transport {
 
 ObjectHost::ObjectHost(HostConfig cfg, SockTransport& transport)
     : cfg_(std::move(cfg)), transport_(transport) {
-  engines_.reserve(cfg_.objects.size());
-  for (const auto& ocfg : cfg_.objects) {
-    engines_.push_back(std::make_unique<core::ObjectEngine>(ocfg));
+  stations_.reserve(cfg_.objects.size());
+  for (std::size_t i = 0; i < cfg_.objects.size(); ++i) {
+    stations_.emplace_back(
+        std::move(cfg_.objects[i]),
+        core::ObjectStation::Sinks{cfg_.tracer, cfg_.metrics,
+                                   static_cast<std::uint32_t>(i + 1)});
   }
+  cfg_.objects.clear();  // the stations keep the configs
   transport_.set_handler([this](PeerId from, const Bytes& frame) {
     on_frame(from, frame, now_ms_);
   });
@@ -20,7 +24,7 @@ ObjectHost::ObjectHost(HostConfig cfg, SockTransport& transport)
 void ObjectHost::pump(double now_ms) {
   now_ms_ = now_ms;
   transport_.pump(now_ms);
-  for (auto& engine : engines_) engine->advance_clock(now_ms);
+  for (auto& station : stations_) station.engine().advance_clock(now_ms);
   if (cfg_.snapshot_interval_ms > 0 && !cfg_.snapshot_path.empty() &&
       now_ms - last_snapshot_ms_ >= cfg_.snapshot_interval_ms) {
     write_snapshot();
@@ -30,10 +34,9 @@ void ObjectHost::pump(double now_ms) {
 
 Bytes ObjectHost::fleet_bundle() const {
   persist::BundleEntries entries;
-  entries.reserve(engines_.size());
-  for (const auto& engine : engines_) {
-    entries.emplace_back(std::string("object:") + engine->credentials().id,
-                         engine->snapshot());
+  entries.reserve(stations_.size());
+  for (const auto& station : stations_) {
+    entries.push_back(station.bundle_entry());
   }
   return persist::seal_bundle(entries);
 }
@@ -64,13 +67,8 @@ persist::RestoreError ObjectHost::restore_from_file() {
   if (!bundle) return bundle.error;
   // Blank-or-exact per engine: a missing or refused section leaves that
   // engine blank without disturbing its neighbours' restores.
-  for (auto& engine : engines_) {
-    const std::string want = std::string("object:") + engine->credentials().id;
-    for (const auto& [name, sealed] : bundle.entries) {
-      if (name != want) continue;
-      if (engine->restore(sealed) == persist::RestoreError::kOk) restored_++;
-      break;
-    }
+  for (auto& station : stations_) {
+    if (station.restore_from(bundle.entries)) restored_++;
   }
   if (cfg_.metrics != nullptr) {
     cfg_.metrics->counter("persist.daemon.engines_restored").inc(restored_);
@@ -90,8 +88,8 @@ void ObjectHost::on_frame(PeerId from, const Bytes& frame, double now_ms) {
   }
   if (mux->channel == kMuxBroadcast) {
     stats_.broadcasts_rx++;
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-      handle_engine(i, from, mux->payload);
+    for (std::size_t i = 0; i < stations_.size(); ++i) {
+      handle_station(i, from, mux->payload);
     }
     return;
   }
@@ -100,21 +98,21 @@ void ObjectHost::on_frame(PeerId from, const Bytes& frame, double now_ms) {
     handle_ctl(from, mux->payload, now_ms);
     return;
   }
-  if (mux->channel >= engines_.size()) {
+  if (mux->channel >= stations_.size()) {
     stats_.bad_channel++;
     return;
   }
-  handle_engine(mux->channel, from, mux->payload);
+  handle_station(mux->channel, from, mux->payload);
 }
 
-void ObjectHost::handle_engine(std::size_t idx, PeerId from,
-                               ByteSpan payload) {
-  core::ObjectEngine& engine = *engines_[idx];
-  const auto result = engine.handle(payload, cfg_.epoch, from);
-  (void)engine.take_consumed_ms();  // modeled cost; real time is real here
-  if (!result) return;
+void ObjectHost::handle_station(std::size_t idx, PeerId from,
+                                ByteSpan payload) {
+  // No Meter: the modelled cost is dropped, real time is real here.
+  const auto step = stations_[idx].step(payload, cfg_.epoch, from, now_ms_);
+  if (!step.result) return;
   stats_.replies_tx++;
-  transport_.send(from, encode_mux(static_cast<std::uint32_t>(idx), *result),
+  transport_.send(from,
+                  encode_mux(static_cast<std::uint32_t>(idx), *step.result),
                   now_ms_);
 }
 
@@ -137,7 +135,9 @@ void ObjectHost::handle_ctl(PeerId from, ByteSpan payload, double now_ms) {
       w.u64(stats_.frames_rx);
       w.u64(stats_.replies_tx);
       std::size_t sessions = 0;
-      for (const auto& engine : engines_) sessions += engine->open_sessions();
+      for (const auto& station : stations_) {
+        sessions += station.engine().open_sessions();
+      }
       w.u64(sessions);
       transport_.send(from,
                       encode_mux(kMuxControl,

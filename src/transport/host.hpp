@@ -1,12 +1,16 @@
-// Object-side daemon core: N ObjectEngines behind one SockTransport.
+// Object-side daemon core: N ObjectStations behind one SockTransport.
 //
 // The host is argusd's engine room, kept tool-free so the in-process
-// transport tests drive exactly the daemon's code path. It demuxes
-// inbound frames (mux.hpp) onto the hosted engines — a broadcast channel
-// frame (QUE1) fans out to every engine, a unicast channel addresses one
-// — and sends each engine's reply back on that engine's channel. The
-// `peer` handed to the engines is the sender's packed socket address, so
-// per-peer admission buckets track real remote endpoints.
+// transport tests drive exactly the daemon's code path. Each hosted
+// object is a core::ObjectStation (argus/object_station.hpp), the same
+// per-frame step the simulator's object nodes drive. The host keeps the
+// I/O: it demuxes inbound frames (mux.hpp) onto the stations — a
+// broadcast channel frame (QUE1) fans out to every station, a unicast
+// channel addresses one — and sends each reply back on that station's
+// channel. The `peer` handed to a station is the sender's packed socket
+// address, so per-peer admission buckets track real remote endpoints.
+// With a tracer set, the stations trace their reject.* and shed.*
+// instants on lane channel + 1 (lane 0 is the host's own).
 //
 // With a snapshot path set, the host writes a sealed fleet bundle on
 // demand, on an interval and on shutdown, and restores blank-or-exact
@@ -14,11 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "argus/object_engine.hpp"
+#include "argus/object_station.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "persist/snapshot.hpp"
@@ -60,9 +63,9 @@ class ObjectHost {
   persist::RestoreError restore_from_file();
   [[nodiscard]] std::size_t restored_engines() const { return restored_; }
 
-  [[nodiscard]] std::size_t engine_count() const { return engines_.size(); }
+  [[nodiscard]] std::size_t engine_count() const { return stations_.size(); }
   [[nodiscard]] core::ObjectEngine& engine(std::size_t i) {
-    return *engines_[i];
+    return stations_[i].engine();
   }
 
   struct Stats {
@@ -78,12 +81,12 @@ class ObjectHost {
 
  private:
   void on_frame(PeerId from, const Bytes& frame, double now_ms);
-  void handle_engine(std::size_t idx, PeerId from, ByteSpan payload);
+  void handle_station(std::size_t idx, PeerId from, ByteSpan payload);
   void handle_ctl(PeerId from, ByteSpan payload, double now_ms);
 
   HostConfig cfg_;
   SockTransport& transport_;
-  std::vector<std::unique_ptr<core::ObjectEngine>> engines_;
+  std::vector<core::ObjectStation> stations_;
   double now_ms_ = 0;
   double last_snapshot_ms_ = 0;
   bool shutdown_ = false;

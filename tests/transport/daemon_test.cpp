@@ -16,9 +16,12 @@
 #include "common/serde.hpp"
 #include "fault/netem.hpp"
 #include "harness/sweep.hpp"
+#include "obs/trace.hpp"
+#include "persist/snapshot.hpp"
 #include "obs/metrics.hpp"
 #include "transport/client.hpp"
 #include "transport/host.hpp"
+#include "transport/mux.hpp"
 #include "transport/pipe.hpp"
 #include "transport/transport.hpp"
 #include "transport/udp.hpp"
@@ -35,36 +38,22 @@ core::DiscoveryScenario scenario_for(std::size_t objects, int level = 2,
   return harness::make_scenario(point);
 }
 
+/// `cfg` reporting into `metrics`.
+template <typename Config>
+Config metered(Config cfg, obs::MetricsRegistry* metrics) {
+  cfg.metrics = metrics;
+  return cfg;
+}
+
 HostConfig host_config(const core::DiscoveryScenario& scenario,
                        obs::MetricsRegistry* metrics = nullptr) {
   HostConfig cfg;
   cfg.epoch = scenario.epoch;
   cfg.metrics = metrics;
   for (std::size_t i = 0; i < scenario.objects.size(); ++i) {
-    core::ObjectEngineConfig ocfg;
-    ocfg.version = scenario.version;
-    ocfg.creds = scenario.objects[i].creds;
-    ocfg.admin_pub = scenario.admin_pub;
-    ocfg.strength = scenario.strength;
-    ocfg.seed = scenario.seed + 1000 + i;
-    ocfg.metrics = metrics;
-    cfg.objects.push_back(std::move(ocfg));
+    cfg.objects.push_back(metered(core::object_config(scenario, i), metrics));
   }
   return cfg;
-}
-
-core::SubjectEngineConfig subject_config(
-    const core::DiscoveryScenario& scenario,
-    obs::MetricsRegistry* metrics = nullptr) {
-  core::SubjectEngineConfig scfg;
-  scfg.version = scenario.version;
-  scfg.creds = scenario.subject;
-  scfg.admin_pub = scenario.admin_pub;
-  scfg.strength = scenario.strength;
-  scfg.seed = scenario.seed;
-  scfg.seek_level3 = scenario.seek_level3;
-  scfg.metrics = metrics;
-  return scfg;
 }
 
 ClientParams client_params(const core::DiscoveryScenario& scenario) {
@@ -111,8 +100,8 @@ struct PipeDeployment {
         host(with_snapshot(host_config(scenario, &metrics),
                            std::move(snapshot_path)),
              dtrans),
-        client(subject_config(scenario, &metrics), client_params(scenario),
-               ctrans) {}
+        client(metered(core::subject_config(scenario), &metrics),
+               client_params(scenario), ctrans) {}
 
   static fault::NetemParams shim_params(double loss, std::uint64_t seed) {
     fault::NetemParams p;
@@ -182,7 +171,7 @@ TEST(Daemon, UdpLoopbackRound) {
   TransportEndpoint cend(*csock, PipeDeployment::client_params_ep(), &metrics);
   SockTransport dtrans(dend), ctrans(cend);
   ObjectHost host(host_config(scenario, &metrics), dtrans);
-  SubjectClient client(subject_config(scenario, &metrics),
+  SubjectClient client(metered(core::subject_config(scenario), &metrics),
                        client_params(scenario), ctrans);
 
   const double start = steady_now_ms();
@@ -304,7 +293,7 @@ TEST(Daemon, CrowdOfClientsSharesOneHostAndLeavesNoConnection) {
     Client& c = clients[i];
     EndpointParams ep;
     ep.conn_id_base = 9000 + 100 * static_cast<std::uint32_t>(i);
-    core::SubjectEngineConfig scfg = subject_config(scenario);
+    core::SubjectEngineConfig scfg = core::subject_config(scenario);
     scfg.seed = scenario.seed + 1 + i;
     c.sock = hub.open(0);
     c.end = std::make_unique<TransportEndpoint>(*c.sock, ep);
@@ -351,6 +340,81 @@ TEST(Daemon, CrowdOfClientsSharesOneHostAndLeavesNoConnection) {
   }
   EXPECT_EQ(dend.live_conns(), 0u);
   EXPECT_EQ(dend.stats().opened, 0u);
+}
+
+TEST(Daemon, HostAndTestbedBuildTheSameObjectSections) {
+  // Both drivers build their engines through core::object_config, so a
+  // fresh host and a fresh simulated fleet of one scenario snapshot to
+  // byte-identical "object:<id>" sections.
+  const core::DiscoveryScenario scenario = scenario_for(6, /*level=*/3);
+  const std::string path =
+      testing::TempDir() + "/argus_daemon_testbed_bundle.snap";
+  std::remove(path.c_str());
+  PipeHub hub;
+  auto dsock = hub.open(0);
+  TransportEndpoint dend(*dsock, PipeDeployment::daemon_params());
+  SockTransport dtrans(dend);
+  ObjectHost host(PipeDeployment::with_snapshot(host_config(scenario), path),
+                  dtrans);
+  core::DiscoveryTestbed testbed(scenario);
+
+  const auto hosted = persist::open_bundle(host.fleet_bundle());
+  const auto simulated = persist::open_bundle(testbed.fleet_bundle());
+  ASSERT_TRUE(hosted && simulated);
+  ASSERT_EQ(simulated.entries.size(), scenario.objects.size() + 1);
+  EXPECT_EQ(simulated.entries.front().first, "subject");
+  const persist::BundleEntries simulated_objects(simulated.entries.begin() + 1,
+                                                 simulated.entries.end());
+  EXPECT_EQ(hosted.entries, simulated_objects);
+  for (std::size_t i = 0; i < scenario.objects.size(); ++i) {
+    EXPECT_EQ(hosted.entries[i].first,
+              core::object_section(scenario.objects[i].creds.id));
+  }
+
+  // A simulated fleet's bundle, after a round, restores every hosted
+  // engine; its "subject" section is ignored.
+  testbed.run_round(0);
+  ASSERT_TRUE(persist::write_snapshot_file(path, testbed.fleet_bundle()));
+  EXPECT_EQ(host.restore_from_file(), persist::RestoreError::kOk);
+  EXPECT_EQ(host.restored_engines(), scenario.objects.size());
+  for (std::size_t i = 0; i < host.engine_count(); ++i) {
+    EXPECT_GT(host.engine(i).cached_replies(), 0u) << "engine " << i;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Daemon, HostTracesMalformedQue2AsReject) {
+  const core::DiscoveryScenario scenario = scenario_for(2);
+  PipeHub hub;
+  auto dsock = hub.open(0);
+  auto csock = hub.open(0);
+  TransportEndpoint dend(*dsock, PipeDeployment::daemon_params());
+  TransportEndpoint cend(*csock, PipeDeployment::client_params_ep());
+  SockTransport dtrans(dend), ctrans(cend);
+  obs::Tracer tracer;
+  HostConfig cfg = host_config(scenario);
+  cfg.tracer = &tracer;
+  ObjectHost host(std::move(cfg), dtrans);
+
+  Bytes junk(64, 0xA5);
+  junk[0] = static_cast<std::uint8_t>(core::MsgType::kQue2);
+  double now = 0;
+  cend.connect(dsock->local_addr(), now);
+  ctrans.send(dsock->local_addr().pack(), encode_mux(1, junk), now);
+  for (int i = 0; i < 100 && host.engine(1).stats().rejects == 0; ++i) {
+    now += 5;
+    ctrans.pump(now);
+    host.pump(now);
+  }
+  ASSERT_EQ(host.engine(1).stats().rejects, 1u);
+  std::size_t rejects = 0;
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    if (!ev.name.starts_with("reject.")) continue;
+    ++rejects;
+    EXPECT_EQ(ev.node, 2u);  // channel 1 traces on lane 2
+    EXPECT_EQ(ev.a, junk.size());
+  }
+  EXPECT_EQ(rejects, 1u);
 }
 
 }  // namespace

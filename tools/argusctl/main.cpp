@@ -128,11 +128,7 @@ int main(int argc, char** argv) {
   transport::TransportEndpoint endpoint(shimmed, ep, &metrics);
   transport::SockTransport sock(endpoint);
 
-  core::SubjectEngineConfig scfg;
-  scfg.version = scenario.version;
-  scfg.creds = scenario.subject;
-  scfg.admin_pub = scenario.admin_pub;
-  scfg.strength = scenario.strength;
+  core::SubjectEngineConfig scfg = core::subject_config(scenario);
   // The subject DRBG draws the R_S nonce. Seeded from the scenario alone,
   // every argusctl run would replay the same nonce and the objects'
   // replay window would silence all runs after the first; the pid keeps
@@ -142,7 +138,6 @@ int main(int argc, char** argv) {
               (static_cast<std::uint64_t>(getpid()) * 0x9e3779b97f4a7c15ull) ^
               static_cast<std::uint64_t>(
                   std::chrono::system_clock::now().time_since_epoch().count());
-  scfg.seek_level3 = scenario.seek_level3;
   scfg.resumption.enabled = opt.resumption;
   scfg.metrics = &metrics;
 

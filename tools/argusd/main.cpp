@@ -21,6 +21,7 @@
 #include <thread>
 #include <unistd.h>
 
+#include "argus/discovery.hpp"
 #include "fault/netem.hpp"
 #include "harness/sweep.hpp"
 #include "obs/metrics.hpp"
@@ -142,12 +143,7 @@ int main(int argc, char** argv) {
     host_cfg.snapshot_interval_ms = opt.snapshot_interval_ms;
   }
   for (std::size_t i = 0; i < scenario.objects.size(); ++i) {
-    core::ObjectEngineConfig ocfg;
-    ocfg.version = scenario.version;
-    ocfg.creds = scenario.objects[i].creds;
-    ocfg.admin_pub = scenario.admin_pub;
-    ocfg.strength = scenario.strength;
-    ocfg.seed = scenario.seed + 1000 + i;
+    core::ObjectEngineConfig ocfg = core::object_config(scenario, i);
     ocfg.admission.enabled = opt.admission;
     ocfg.resumption.enabled = opt.resumption;
     ocfg.metrics = &metrics;
