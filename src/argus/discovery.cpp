@@ -13,15 +13,10 @@ namespace argus::core {
 namespace {
 
 const char* wire_type_name(ByteSpan wire) {
-  if (wire.empty()) return "?";
-  switch (static_cast<MsgType>(wire[0])) {
-    case MsgType::kQue1: return "QUE1";
-    case MsgType::kRes1Level1: return "RES1-L1";
-    case MsgType::kRes1: return "RES1";
-    case MsgType::kQue2: return "QUE2";
-    case MsgType::kRes2: return "RES2";
-  }
-  return "?";
+  // Indexed by MsgType (kQue1 = 1 .. kRes2 = 5).
+  static constexpr const char* kNames[] = {"?",    "QUE1", "RES1-L1",
+                                           "RES1", "QUE2", "RES2"};
+  return !wire.empty() && wire[0] < std::size(kNames) ? kNames[wire[0]] : "?";
 }
 
 // Per-run observability context. `metrics` always points at the run-local
@@ -625,14 +620,6 @@ DiscoveryTestbed::FleetGauges DiscoveryTestbed::gauges() const {
   return g;
 }
 
-std::uint64_t DiscoveryTestbed::fleet_evictions() const {
-  std::uint64_t total = 0;
-  for (const auto& obj : impl_->objects) {
-    total += obj->engine().stats().evictions;
-  }
-  return total;
-}
-
 Bytes DiscoveryTestbed::snapshot_object(std::size_t index) const {
   return impl_->objects.at(index)->engine().snapshot();
 }
@@ -665,32 +652,28 @@ void DiscoveryTestbed::reset_window() {
 
 ObjectEngineConfig object_config(const DiscoveryScenario& scenario,
                                  std::size_t i) {
-  ObjectEngineConfig cfg;
-  cfg.version = scenario.version;
-  cfg.creds = scenario.objects.at(i).creds;
-  cfg.admin_pub = scenario.admin_pub;
-  cfg.strength = scenario.strength;
-  cfg.seed = scenario.seed + 1000 + i;
-  cfg.compute = scenario.object_compute;
-  cfg.pad_res2 = scenario.pad_res2;
-  cfg.equalize_timing = scenario.equalize_timing;
-  cfg.admission = scenario.admission;
-  cfg.replay_window = scenario.replay_window;
-  cfg.metrics = scenario.metrics;
-  return cfg;
+  return {.version = scenario.version,
+          .creds = scenario.objects.at(i).creds,
+          .admin_pub = scenario.admin_pub,
+          .strength = scenario.strength,
+          .seed = scenario.seed + 1000 + i,
+          .compute = scenario.object_compute,
+          .pad_res2 = scenario.pad_res2,
+          .equalize_timing = scenario.equalize_timing,
+          .replay_window = scenario.replay_window,
+          .admission = scenario.admission,
+          .metrics = scenario.metrics};
 }
 
 SubjectEngineConfig subject_config(const DiscoveryScenario& scenario) {
-  SubjectEngineConfig cfg;
-  cfg.version = scenario.version;
-  cfg.creds = scenario.subject;
-  cfg.admin_pub = scenario.admin_pub;
-  cfg.strength = scenario.strength;
-  cfg.seed = scenario.seed;
-  cfg.compute = scenario.subject_compute;
-  cfg.seek_level3 = scenario.seek_level3;
-  cfg.metrics = scenario.metrics;
-  return cfg;
+  return {.version = scenario.version,
+          .creds = scenario.subject,
+          .admin_pub = scenario.admin_pub,
+          .strength = scenario.strength,
+          .seed = scenario.seed,
+          .compute = scenario.subject_compute,
+          .seek_level3 = scenario.seek_level3,
+          .metrics = scenario.metrics};
 }
 
 DiscoveryReport run_discovery(const DiscoveryScenario& scenario) {

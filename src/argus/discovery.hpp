@@ -8,13 +8,12 @@
 // interleave rounds with snapshot/restore cycles, re-armed fault plans,
 // and state-size probes.
 //
-// The simulator's nodes are thin radio wrappers around the protocol
-// logic argusd shares: each object node drives an ObjectStation
-// (argus/object_station.hpp) and the subject node a SubjectRound
-// (argus/subject_round.hpp). object_config()/subject_config() map a
-// scenario onto engine configs for every driver, the daemon included.
+// Its nodes wrap the logic argusd shares: ObjectStation on the object
+// side, SubjectRound on the subject's. object_config()/subject_config()
+// map a scenario onto engine configs for every driver.
 #pragma once
 
+#include <iterator>
 #include <map>
 #include <memory>
 
@@ -139,23 +138,13 @@ enum class FailReason : std::uint8_t {
 };
 
 inline const char* fail_reason_name(FailReason r) {
-  switch (r) {
-    case FailReason::kNone:
-      return "none";
-    case FailReason::kCrashed:
-      return "crashed";
-    case FailReason::kTimedOut:
-      return "timed_out";
-    case FailReason::kRejectedMalformed:
-      return "rejected_malformed";
-    case FailReason::kByzantineDetected:
-      return "byzantine_detected";
-    case FailReason::kOverloaded:
-      return "overloaded";
-    case FailReason::kSilent:
-      return "silent";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+      "none", "crashed", "timed_out", "rejected_malformed",
+      "byzantine_detected", "overloaded", "silent"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(FailReason::kSilent) + 1);
+  const auto i = static_cast<std::size_t>(r);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 /// Graceful-degradation verdict for one scenario object: either the
@@ -213,12 +202,10 @@ struct DiscoveryReport {
   [[nodiscard]] std::size_t count_level(int level) const;
 };
 
-/// Engine config of scenario object `i`: the scenario's protocol,
-/// strength, compute model, v3.0 measures, admission and replay bounds
-/// and metrics sink, with DRBG seed `scenario.seed + 1000 + i`.
+/// Engine config of scenario object `i` (DRBG seed seed + 1000 + i).
 ObjectEngineConfig object_config(const DiscoveryScenario& scenario,
                                  std::size_t i);
-/// Engine config of the scenario's subject (DRBG seed `scenario.seed`).
+/// Engine config of the scenario's subject (DRBG seed seed).
 SubjectEngineConfig subject_config(const DiscoveryScenario& scenario);
 
 /// Run one full discovery (possibly multi-round) to completion.
@@ -276,10 +263,6 @@ class DiscoveryTestbed {
     }
   };
   [[nodiscard]] FleetGauges gauges() const;
-
-  /// Admission evictions observed so far (sum of the fleet's
-  /// object.admission.peer_evicted behaviour via engine stats).
-  [[nodiscard]] std::uint64_t fleet_evictions() const;
 
   // --- persistence probes -------------------------------------------------
   [[nodiscard]] Bytes snapshot_object(std::size_t index) const;

@@ -5,43 +5,33 @@
 namespace argus::core {
 
 std::string object_section(std::string_view object_id) {
-  std::string name = "object:";
-  name += object_id;
-  return name;
+  return "object:" + std::string(object_id);
 }
 
 ObjectStation::ObjectStation(ObjectEngineConfig cfg, Sinks sinks)
-    : cfg_(std::move(cfg)), sinks_(sinks) {
-  engine_.emplace(cfg_);
-}
+    : cfg_(std::move(cfg)), sinks_(sinks), engine_(std::in_place, cfg_) {}
 
 ObjectStation::Step ObjectStation::step(ByteSpan payload, std::uint64_t epoch,
                                         std::uint64_t peer, double now) {
-  ObjectEngine& engine = *engine_;
-  const std::uint64_t fellows_before = engine.stats().fellows_confirmed;
-  engine.advance_clock(now);
-  Step out{engine.handle(payload, epoch, peer)};
+  const std::uint64_t fellows_before = engine_->stats().fellows_confirmed;
+  engine_->advance_clock(now);
+  Step out{engine_->handle(payload, epoch, peer)};
   HandleResult& res = out.result;
   // A Byzantine node does the work, then lies about it.
   if (res && mutator_.armed()) *res = mutator_.mutate(std::move(*res));
-  const double ms = engine.take_consumed_ms();
+  const double ms = engine_->take_consumed_ms();
   if (sinks_.meter != nullptr) sinks_.meter->charge(ms);
 
   obs::Tracer* const tr = sinks_.tracer;
-  if (tr && is_reject(res.status)) {
+  // Sheds only happen with admission control on, so flood-free traces
+  // stay byte-identical.
+  if (tr && (is_reject(res.status) || is_shed(res.status))) {
     tr->instant(now, sinks_.node,
-                std::string("reject.") + status_name(res.status), "fault",
-                payload.size(), peer);
-  }
-  if (tr && is_shed(res.status)) {
-    // Admission sheds only fire when admission control is enabled, so
-    // flood-free traces stay byte-identical.
-    tr->instant(now, sinks_.node,
-                std::string("shed.") + status_name(res.status), "fault",
-                payload.size(), peer);
+                (is_shed(res.status) ? "shed." : "reject.") +
+                    std::string(status_name(res.status)),
+                "fault", payload.size(), peer);
   }
   if (res && zombie_) {
-    // The engine did the work; the zombie eats the reply.
     if (sinks_.metrics != nullptr) {
       sinks_.metrics->counter("fault.zombie_suppressed").inc();
     }
@@ -52,7 +42,7 @@ ObjectStation::Step ObjectStation::step(ByteSpan payload, std::uint64_t epoch,
   }
   if (res && !res->empty() &&
       static_cast<MsgType>((*res)[0]) == MsgType::kRes2) {
-    out.level = engine.stats().fellows_confirmed > fellows_before ? 3 : 2;
+    out.level = engine_->stats().fellows_confirmed > fellows_before ? 3 : 2;
   }
   return out;
 }

@@ -2,28 +2,20 @@
 // (argus/discovery.cpp) and argusd's ObjectHost (transport/host.hpp).
 //
 // A station owns the ObjectEngine, the config it is rebuilt from on
-// reboot, and the two object-side faults the chaos layer arms: a
-// Byzantine reply mutator and the silent-drop zombie flag. step() is the
-// whole per-frame job: advance the engine clock, handle the frame,
-// corrupt or suppress the reply, hand the modelled cost to the owner's
-// Meter, and trace the reject.* / shed.* / drop.zombie instants. The
-// owner keeps the I/O: framing, its own spans, and sending the reply.
-//
-// The fleet-bundle format lives here too: one "object:<id>" section per
-// engine, written by bundle_entry() and restored blank-or-exact by
-// restore_from().
+// reboot, and the faults the chaos layer arms: a Byzantine reply mutator
+// and the silent-drop zombie flag. step() is the whole per-frame job; the
+// owner keeps the I/O (framing, its own spans, sending the reply). The
+// station also owns the fleet-bundle format: one "object:<id>" section
+// per engine, restored blank-or-exact.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 
 #include "argus/object_engine.hpp"
 #include "fault/byzantine.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "persist/snapshot.hpp"
 
 namespace argus::core {
 
@@ -32,43 +24,39 @@ namespace argus::core {
 
 class ObjectStation {
  public:
-  /// The owner's compute model. charge() receives each step's modelled
-  /// cost after the engine ran and before the step's instants are
-  /// traced, so a simulated node's compute span keeps its place in the
-  /// timeline.
+  /// The owner's compute model: charge() runs after the engine and before
+  /// the step's instants, so a simulated node's compute span precedes them.
   class Meter {
    public:
     virtual ~Meter() = default;
     virtual void charge(double ms) = 0;
   };
 
-  /// Where a station reports; every member is optional.
+  /// All optional. `node` is the trace lane of the step's instants.
   struct Sinks {
     obs::Tracer* tracer = nullptr;
     obs::MetricsRegistry* metrics = nullptr;  // fault.zombie_suppressed
-    std::uint32_t node = 0;                   // trace lane of the instants
-    Meter* meter = nullptr;                   // null: the cost is dropped
+    std::uint32_t node = 0;
+    Meter* meter = nullptr;  // null: the modelled cost is dropped
   };
 
   struct Step {
-    HandleResult result;  // reply as sent: mutated or dropped by a fault
-    /// RES2 reply level: 3 if the frame confirmed a Level-3 fellow, else
-    /// 2; 0 when no RES2 leaves the station.
-    std::uint64_t level = 0;
+    HandleResult result;  // the reply as sent, after any fault
+    std::uint64_t level = 0;  // RES2: 3 if a fellow was confirmed, else 2
   };
 
   ObjectStation(ObjectEngineConfig cfg, Sinks sinks);
 
-  /// Handle one inbound frame from `peer` at time `now` (ms).
+  /// Advance the engine clock to `now`, handle the frame, mutate or
+  /// suppress the reply, charge its cost, and trace the reject.*,
+  /// shed.* and drop.zombie instants.
   Step step(ByteSpan payload, std::uint64_t epoch, std::uint64_t peer,
             double now);
 
-  /// Reboot: a fresh engine from the config (empty tables, reset DRBG)
-  /// and a disarmed mutator. A zombie stays a zombie.
+  /// A fresh engine (empty tables, reset DRBG) and a disarmed mutator.
+  /// A zombie stays a zombie.
   void reboot();
-  /// The node keeps receiving and computing, but no reply leaves it.
   void make_zombie() { zombie_ = true; }
-  /// Corrupt every later reply (fault/byzantine.hpp) until reboot.
   void arm_byzantine(fault::ByzantineMode mode, std::uint64_t seed) {
     mutator_.arm(mode, seed);
   }
@@ -78,13 +66,12 @@ class ObjectStation {
 
   /// This engine's fleet-bundle section: its name and sealed snapshot.
   [[nodiscard]] persist::BundleEntries::value_type bundle_entry() const;
-  /// Restore from this engine's section of an opened bundle, ignoring
-  /// every other section. False if the section is missing (the engine is
-  /// untouched) or refused (the engine is left blank).
+  /// Restore from this engine's section, ignoring all others. False if
+  /// it is missing (engine untouched) or refused (engine left blank).
   bool restore_from(const persist::BundleEntries& sections);
 
  private:
-  ObjectEngineConfig cfg_;  // kept for reboot-time engine rebuilds
+  ObjectEngineConfig cfg_;
   Sinks sinks_;
   std::optional<ObjectEngine> engine_;
   fault::ByzantineMutator mutator_;

@@ -166,8 +166,7 @@ class SubjectEngine {
   std::uint64_t lru_seq_ = 0;
   std::set<Bytes> completed_;          // R_O of finished exchanges this round
   std::vector<DiscoveredService> discovered_;  // arrival order
-  /// (object_id, variant_tag) of every discovered_ entry: record()'s
-  /// dedupe index.
+  // record()'s dedupe index: (object_id, variant_tag) of discovered_.
   std::set<std::pair<std::string, std::string>> discovered_keys_;
   double consumed_ms_ = 0;
   Stats stats_;

@@ -21,7 +21,6 @@ class ByzantineMutator {
  public:
   /// Start corrupting with `mode` using a DRBG stream keyed by `seed`.
   void arm(ByzantineMode mode, std::uint64_t seed);
-  void disarm() { mode_ = ByzantineMode::kNone; }
   [[nodiscard]] bool armed() const { return mode_ != ByzantineMode::kNone; }
 
   /// Corrupt one reply. Identity when unarmed.

@@ -1,6 +1,7 @@
 #include "fault/plan.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 
 #include "crypto/drbg.hpp"
@@ -28,45 +29,29 @@ double onset(crypto::HmacDrbg& rng, double horizon_ms) {
 }  // namespace
 
 const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kReboot:
-      return "reboot";
-    case FaultKind::kStraggle:
-      return "straggle";
-    case FaultKind::kZombie:
-      return "zombie";
-    case FaultKind::kByzantine:
-      return "byzantine";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {"crash", "reboot", "straggle",
+                                           "zombie", "byzantine"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(FaultKind::kByzantine) + 1);
+  const auto i = static_cast<std::size_t>(kind);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 const char* byzantine_mode_name(ByzantineMode mode) {
-  switch (mode) {
-    case ByzantineMode::kNone:
-      return "none";
-    case ByzantineMode::kTruncate:
-      return "truncate";
-    case ByzantineMode::kBitFlip:
-      return "bitflip";
-    case ByzantineMode::kReplay:
-      return "replay";
-    case ByzantineMode::kMixed:
-      return "mixed";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {"none", "truncate", "bitflip",
+                                           "replay", "mixed"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(ByzantineMode::kMixed) + 1);
+  const auto i = static_cast<std::size_t>(mode);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 const char* reboot_policy_name(RebootPolicy policy) {
-  switch (policy) {
-    case RebootPolicy::kBlank:
-      return "blank";
-    case RebootPolicy::kFromSnapshot:
-      return "from_snapshot";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {"blank", "from_snapshot"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(RebootPolicy::kFromSnapshot) + 1);
+  const auto i = static_cast<std::size_t>(policy);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 bool FaultPlan::armed() const {

@@ -2,14 +2,13 @@
 //
 // The host is argusd's engine room, kept tool-free so the in-process
 // transport tests drive exactly the daemon's code path. Each hosted
-// object is a core::ObjectStation (argus/object_station.hpp), the same
-// per-frame step the simulator's object nodes drive. The host keeps the
-// I/O: it demuxes inbound frames (mux.hpp) onto the stations — a
-// broadcast channel frame (QUE1) fans out to every station, a unicast
-// channel addresses one — and sends each reply back on that station's
-// channel. The `peer` handed to a station is the sender's packed socket
-// address, so per-peer admission buckets track real remote endpoints.
-// With a tracer set, the stations trace their reject.* and shed.*
+// object is a core::ObjectStation, the per-frame step the simulator
+// runs too. The host demuxes inbound frames (mux.hpp) onto the stations
+// — a broadcast channel frame (QUE1) fans out to every station, a
+// unicast channel addresses one — and sends each reply back on that
+// station's channel. The `peer` handed to a station is the sender's
+// packed socket address, so per-peer admission buckets track real
+// remote endpoints. A tracer gets each station's reject.* and shed.*
 // instants on lane channel + 1 (lane 0 is the host's own).
 //
 // With a snapshot path set, the host writes a sealed fleet bundle on
