@@ -13,10 +13,15 @@ namespace argus::core {
 namespace {
 
 const char* wire_type_name(ByteSpan wire) {
-  // Indexed by MsgType (kQue1 = 1 .. kRes2 = 5).
-  static constexpr const char* kNames[] = {"?",    "QUE1", "RES1-L1",
-                                           "RES1", "QUE2", "RES2"};
-  return !wire.empty() && wire[0] < std::size(kNames) ? kNames[wire[0]] : "?";
+  if (wire.empty()) return "?";
+  switch (static_cast<MsgType>(wire[0])) {
+    case MsgType::kQue1: return "QUE1";
+    case MsgType::kRes1Level1: return "RES1-L1";
+    case MsgType::kRes1: return "RES1";
+    case MsgType::kQue2: return "QUE2";
+    case MsgType::kRes2: return "RES2";
+  }
+  return "?";
 }
 
 // Per-run observability context. `metrics` always points at the run-local

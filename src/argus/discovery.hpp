@@ -13,7 +13,6 @@
 // map a scenario onto engine configs for every driver.
 #pragma once
 
-#include <iterator>
 #include <map>
 #include <memory>
 
@@ -138,13 +137,23 @@ enum class FailReason : std::uint8_t {
 };
 
 inline const char* fail_reason_name(FailReason r) {
-  static constexpr const char* kNames[] = {
-      "none", "crashed", "timed_out", "rejected_malformed",
-      "byzantine_detected", "overloaded", "silent"};
-  static_assert(std::size(kNames) ==
-                static_cast<std::size_t>(FailReason::kSilent) + 1);
-  const auto i = static_cast<std::size_t>(r);
-  return i < std::size(kNames) ? kNames[i] : "?";
+  switch (r) {
+    case FailReason::kNone:
+      return "none";
+    case FailReason::kCrashed:
+      return "crashed";
+    case FailReason::kTimedOut:
+      return "timed_out";
+    case FailReason::kRejectedMalformed:
+      return "rejected_malformed";
+    case FailReason::kByzantineDetected:
+      return "byzantine_detected";
+    case FailReason::kOverloaded:
+      return "overloaded";
+    case FailReason::kSilent:
+      return "silent";
+  }
+  return "?";
 }
 
 /// Graceful-degradation verdict for one scenario object: either the

@@ -468,10 +468,6 @@ void SubjectEngine::load_state(ByteReader& r) {
   resume_cache_.clear();
   completed_ = std::move(completed);
   discovered_ = std::move(discovered);
-  discovered_keys_.clear();
-  for (const DiscoveredService& svc : discovered_) {
-    discovered_keys_.emplace(svc.object_id, svc.variant_tag);
-  }
 }
 
 void SubjectEngine::reset_to_blank() {
@@ -482,7 +478,6 @@ void SubjectEngine::reset_to_blank() {
   resume_cache_.clear();
   completed_.clear();
   discovered_.clear();
-  discovered_keys_.clear();
   lru_seq_ = 0;
   consumed_ms_ = 0;
   stats_ = Stats{};

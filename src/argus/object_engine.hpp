@@ -138,6 +138,7 @@ class ObjectEngine {
   [[nodiscard]] const backend::ObjectCredentials& credentials() const {
     return cfg_.creds;
   }
+  [[nodiscard]] const ObjectEngineConfig& config() const { return cfg_; }
 
   /// Sealed, checksummed snapshot of the full engine state: sessions,
   /// reply/resumption caches, replay window, admission buckets,

@@ -9,7 +9,7 @@ std::string object_section(std::string_view object_id) {
 }
 
 ObjectStation::ObjectStation(ObjectEngineConfig cfg, Sinks sinks)
-    : cfg_(std::move(cfg)), sinks_(sinks), engine_(std::in_place, cfg_) {}
+    : sinks_(sinks), engine_(std::in_place, std::move(cfg)) {}
 
 ObjectStation::Step ObjectStation::step(ByteSpan payload, std::uint64_t epoch,
                                         std::uint64_t peer, double now) {
@@ -48,7 +48,8 @@ ObjectStation::Step ObjectStation::step(ByteSpan payload, std::uint64_t epoch,
 }
 
 void ObjectStation::reboot() {
-  engine_.emplace(cfg_);
+  ObjectEngineConfig cfg = engine_->config();  // emplace() ends the old one
+  engine_.emplace(std::move(cfg));
   mutator_ = fault::ByzantineMutator{};
 }
 

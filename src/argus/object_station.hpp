@@ -1,8 +1,8 @@
 // Object side of one Argus node, shared by the simulator's ObjectNode
 // (argus/discovery.cpp) and argusd's ObjectHost (transport/host.hpp).
 //
-// A station owns the ObjectEngine, the config it is rebuilt from on
-// reboot, and the faults the chaos layer arms: a Byzantine reply mutator
+// A station owns the ObjectEngine (rebuilt from its own config on
+// reboot) and the faults the chaos layer arms: a Byzantine reply mutator
 // and the silent-drop zombie flag. step() is the whole per-frame job; the
 // owner keeps the I/O (framing, its own spans, sending the reply). The
 // station also owns the fleet-bundle format: one "object:<id>" section
@@ -71,7 +71,6 @@ class ObjectStation {
   bool restore_from(const persist::BundleEntries& sections);
 
  private:
-  ObjectEngineConfig cfg_;
   Sinks sinks_;
   std::optional<ObjectEngine> engine_;
   fault::ByzantineMutator mutator_;

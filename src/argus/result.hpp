@@ -7,9 +7,7 @@
 // whether a reply exists keep compiling unchanged.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <optional>
 
 #include "common/bytes.hpp"
@@ -39,14 +37,37 @@ enum class HandleStatus : std::uint8_t {
 };
 
 inline const char* status_name(HandleStatus status) {
-  static constexpr const char* kNames[] = {
-      "ok", "duplicate", "stale", "policy_silent", "malformed", "bad_cert",
-      "bad_signature", "bad_profile", "bad_kex", "bad_mac", "bad_seal",
-      "revoked", "shed_overload", "rate_limited"};
-  static_assert(std::size(kNames) ==
-                static_cast<std::size_t>(HandleStatus::kRateLimited) + 1);
-  const auto i = static_cast<std::size_t>(status);
-  return i < std::size(kNames) ? kNames[i] : "?";
+  switch (status) {
+    case HandleStatus::kOk:
+      return "ok";
+    case HandleStatus::kDuplicate:
+      return "duplicate";
+    case HandleStatus::kStale:
+      return "stale";
+    case HandleStatus::kPolicySilent:
+      return "policy_silent";
+    case HandleStatus::kMalformed:
+      return "malformed";
+    case HandleStatus::kBadCert:
+      return "bad_cert";
+    case HandleStatus::kBadSignature:
+      return "bad_signature";
+    case HandleStatus::kBadProfile:
+      return "bad_profile";
+    case HandleStatus::kBadKex:
+      return "bad_kex";
+    case HandleStatus::kBadMac:
+      return "bad_mac";
+    case HandleStatus::kBadSeal:
+      return "bad_seal";
+    case HandleStatus::kRevoked:
+      return "revoked";
+    case HandleStatus::kShedOverload:
+      return "shed_overload";
+    case HandleStatus::kRateLimited:
+      return "rate_limited";
+  }
+  return "?";
 }
 
 /// True for statuses that indicate a hostile or broken peer — the ones a

@@ -75,8 +75,11 @@ HandleResult SubjectEngine::handle(ByteSpan wire, std::uint64_t now) {
 }
 
 void SubjectEngine::record(DiscoveredService svc) {
-  if (!discovered_keys_.emplace(svc.object_id, svc.variant_tag).second) {
-    return;
+  for (const auto& existing : discovered_) {
+    if (existing.object_id == svc.object_id &&
+        existing.variant_tag == svc.variant_tag) {
+      return;
+    }
   }
   discovered_.push_back(std::move(svc));
 }

@@ -165,9 +165,7 @@ class SubjectEngine {
   std::map<Bytes, ResumeEntry> resume_cache_;  // object-cert hash -> preK
   std::uint64_t lru_seq_ = 0;
   std::set<Bytes> completed_;          // R_O of finished exchanges this round
-  std::vector<DiscoveredService> discovered_;  // arrival order
-  // record()'s dedupe index: (object_id, variant_tag) of discovered_.
-  std::set<std::pair<std::string, std::string>> discovered_keys_;
+  std::vector<DiscoveredService> discovered_;
   double consumed_ms_ = 0;
   Stats stats_;
 };

@@ -1,7 +1,6 @@
 #include "fault/plan.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <string>
 
 #include "crypto/drbg.hpp"
@@ -28,30 +27,20 @@ double onset(crypto::HmacDrbg& rng, double horizon_ms) {
 
 }  // namespace
 
-const char* fault_kind_name(FaultKind kind) {
-  static constexpr const char* kNames[] = {"crash", "reboot", "straggle",
-                                           "zombie", "byzantine"};
-  static_assert(std::size(kNames) ==
-                static_cast<std::size_t>(FaultKind::kByzantine) + 1);
-  const auto i = static_cast<std::size_t>(kind);
-  return i < std::size(kNames) ? kNames[i] : "?";
-}
-
 const char* byzantine_mode_name(ByzantineMode mode) {
-  static constexpr const char* kNames[] = {"none", "truncate", "bitflip",
-                                           "replay", "mixed"};
-  static_assert(std::size(kNames) ==
-                static_cast<std::size_t>(ByzantineMode::kMixed) + 1);
-  const auto i = static_cast<std::size_t>(mode);
-  return i < std::size(kNames) ? kNames[i] : "?";
-}
-
-const char* reboot_policy_name(RebootPolicy policy) {
-  static constexpr const char* kNames[] = {"blank", "from_snapshot"};
-  static_assert(std::size(kNames) ==
-                static_cast<std::size_t>(RebootPolicy::kFromSnapshot) + 1);
-  const auto i = static_cast<std::size_t>(policy);
-  return i < std::size(kNames) ? kNames[i] : "?";
+  switch (mode) {
+    case ByzantineMode::kNone:
+      return "none";
+    case ByzantineMode::kTruncate:
+      return "truncate";
+    case ByzantineMode::kBitFlip:
+      return "bitflip";
+    case ByzantineMode::kReplay:
+      return "replay";
+    case ByzantineMode::kMixed:
+      return "mixed";
+  }
+  return "?";
 }
 
 bool FaultPlan::armed() const {

@@ -23,8 +23,6 @@ enum class FaultKind : std::uint8_t {
   kByzantine,  // node's replies are mutated (see ByzantineMode)
 };
 
-const char* fault_kind_name(FaultKind kind);
-
 /// How a Byzantine peer corrupts its replies (fault/byzantine.hpp).
 enum class ByzantineMode : std::uint8_t {
   kNone = 0,  // honest passthrough
@@ -46,8 +44,6 @@ enum class RebootPolicy : std::uint8_t {
   kBlank = 0,
   kFromSnapshot = 1,
 };
-
-const char* reboot_policy_name(RebootPolicy policy);
 
 /// One concrete fault transition, in virtual milliseconds.
 struct FaultEvent {

@@ -15,7 +15,7 @@ ObjectHost::ObjectHost(HostConfig cfg, SockTransport& transport)
         core::ObjectStation::Sinks{cfg_.tracer, cfg_.metrics,
                                    static_cast<std::uint32_t>(i + 1)});
   }
-  cfg_.objects.clear();  // the stations keep the configs
+  cfg_.objects.clear();  // the stations' engines keep the configs
   transport_.set_handler([this](PeerId from, const Bytes& frame) {
     on_frame(from, frame, now_ms_);
   });

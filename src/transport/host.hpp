@@ -8,8 +8,9 @@
 // unicast channel addresses one — and sends each reply back on that
 // station's channel. The `peer` handed to a station is the sender's
 // packed socket address, so per-peer admission buckets track real
-// remote endpoints. A tracer gets each station's reject.* and shed.*
-// instants on lane channel + 1 (lane 0 is the host's own).
+// remote endpoints. A tracer, when set, gets each station's reject.*
+// and shed.* instants on lane channel + 1 (lane 0 is the host's own);
+// argusd sets none.
 //
 // With a snapshot path set, the host writes a sealed fleet bundle on
 // demand, on an interval and on shutdown, and restores blank-or-exact

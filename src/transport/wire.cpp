@@ -14,32 +14,6 @@ bool valid_type(std::uint8_t v) {
 }
 }  // namespace
 
-const char* packet_type_name(PacketType t) {
-  switch (t) {
-    case PacketType::kSyn: return "SYN";
-    case PacketType::kSynAck: return "SYN-ACK";
-    case PacketType::kData: return "DATA";
-    case PacketType::kAck: return "ACK";
-    case PacketType::kPing: return "PING";
-    case PacketType::kPong: return "PONG";
-    case PacketType::kFin: return "FIN";
-  }
-  return "?";
-}
-
-const char* wire_error_name(WireError e) {
-  switch (e) {
-    case WireError::kOk: return "ok";
-    case WireError::kTruncated: return "truncated";
-    case WireError::kBadMagic: return "bad_magic";
-    case WireError::kBadVersion: return "bad_version";
-    case WireError::kBadType: return "bad_type";
-    case WireError::kLengthMismatch: return "length_mismatch";
-    case WireError::kOversized: return "oversized";
-  }
-  return "?";
-}
-
 Bytes encode_packet(const Packet& p) {
   ByteWriter w;
   w.u8(kMagic0);

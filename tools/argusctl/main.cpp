@@ -101,16 +101,23 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  core::DiscoveryScenario scenario = harness::make_scenario(
-      {.level = opt.level, .objects = opt.objects, .seed = opt.seed});
+  harness::SweepPoint point;
+  point.level = opt.level;
+  point.objects = opt.objects;
+  point.seed = opt.seed;
+  core::DiscoveryScenario scenario = harness::make_scenario(point);
 
   auto socket = transport::UdpSocket::bind_loopback(0);
   if (!socket) {
     std::fprintf(stderr, "argusctl: bind failed\n");
     return 1;
   }
-  fault::NetemSocket shimmed(*socket,
-                            {opt.loss, opt.dup, opt.reorder, opt.shim_seed});
+  fault::NetemParams shim;
+  shim.drop_prob = opt.loss;
+  shim.dup_prob = opt.dup;
+  shim.reorder_prob = opt.reorder;
+  shim.seed = opt.shim_seed;
+  fault::NetemSocket shimmed(*socket, shim);
 
   obs::MetricsRegistry metrics;
   transport::EndpointParams ep;
